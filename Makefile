@@ -30,6 +30,7 @@ lint-fast:
 # What CI runs (.github/workflows/ci.yml).
 ci: build lint
 	$(GO) test -race -short ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -307,14 +307,8 @@ func (c *Cipher) Decrypt(dst, src []byte, rec Recorder) {
 // performance workload: "OpenSSL's AES encryption that takes a 32 KB random
 // input and does a cipher block chaining (CBC) mode of encryption."
 func (c *Cipher) EncryptCBC(dst, src, iv []byte, rec Recorder) error {
-	if len(src)%BlockSize != 0 {
-		return fmt.Errorf("aes: CBC input length %d not a multiple of %d", len(src), BlockSize)
-	}
-	if len(dst) < len(src) {
-		return fmt.Errorf("aes: CBC output too short: %d < %d", len(dst), len(src))
-	}
-	if len(iv) != BlockSize {
-		return fmt.Errorf("aes: CBC iv length %d (want %d)", len(iv), BlockSize)
+	if err := checkCBC(len(dst), len(src), len(iv)); err != nil {
+		return err
 	}
 	var chain [BlockSize]byte
 	copy(chain[:], iv)
@@ -329,16 +323,24 @@ func (c *Cipher) EncryptCBC(dst, src, iv []byte, rec Recorder) error {
 	return nil
 }
 
+// checkCBC validates the buffer lengths of a CBC call.
+func checkCBC(dstLen, srcLen, ivLen int) error {
+	if srcLen%BlockSize != 0 {
+		return fmt.Errorf("aes: CBC input length %d not a multiple of %d", srcLen, BlockSize)
+	}
+	if dstLen < srcLen {
+		return fmt.Errorf("aes: CBC output too short: %d < %d", dstLen, srcLen)
+	}
+	if ivLen != BlockSize {
+		return fmt.Errorf("aes: CBC iv length %d (want %d)", ivLen, BlockSize)
+	}
+	return nil
+}
+
 // DecryptCBC decrypts src into dst using CBC mode with iv.
 func (c *Cipher) DecryptCBC(dst, src, iv []byte, rec Recorder) error {
-	if len(src)%BlockSize != 0 {
-		return fmt.Errorf("aes: CBC input length %d not a multiple of %d", len(src), BlockSize)
-	}
-	if len(dst) < len(src) {
-		return fmt.Errorf("aes: CBC output too short: %d < %d", len(dst), len(src))
-	}
-	if len(iv) != BlockSize {
-		return fmt.Errorf("aes: CBC iv length %d (want %d)", len(iv), BlockSize)
+	if err := checkCBC(len(dst), len(src), len(iv)); err != nil {
+		return err
 	}
 	var chain, next [BlockSize]byte
 	copy(chain[:], iv)

@@ -9,6 +9,11 @@
 // The temp file is created in the destination's directory, not os.TempDir,
 // because rename is only atomic within a filesystem.
 //
+// A destination that exists and is not a regular file or a directory — a
+// device such as /dev/null, or a FIFO — is written in place instead:
+// renaming over it would replace the device node itself, and such a
+// destination has no old contents for atomicity to protect.
+//
 // Durability note: rename alone is atomic but not durable — after a power
 // loss the directory entry may still point at the old file even though the
 // new data blocks were fsynced. Commit therefore fsyncs the destination's
@@ -32,11 +37,20 @@ type File struct {
 	*os.File
 	dest      string
 	committed bool
+	inPlace   bool // File is dest itself, a device or FIFO
 }
 
 // Create starts an atomic write of dest. The returned File's Write methods
-// go to a temporary file in dest's directory.
+// go to a temporary file in dest's directory, or to dest itself when it is
+// a device or FIFO (see the package doc).
 func Create(dest string) (*File, error) {
+	if fi, err := os.Stat(dest); err == nil && !fi.Mode().IsRegular() && !fi.IsDir() {
+		f, err := os.OpenFile(dest, os.O_WRONLY, 0)
+		if err != nil {
+			return nil, fmt.Errorf("atomicio: %w", err)
+		}
+		return &File{File: f, dest: dest, inPlace: true}, nil
+	}
 	dir := filepath.Dir(dest)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(dest)+".tmp*")
 	if err != nil {
@@ -51,6 +65,14 @@ func Create(dest string) (*File, error) {
 func (f *File) Commit() error {
 	if f.committed {
 		return fmt.Errorf("atomicio: %s committed twice", f.dest)
+	}
+	if f.inPlace {
+		// Devices and FIFOs have nothing to fsync or rename.
+		f.committed = true
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("atomicio: close %s: %w", f.dest, err)
+		}
+		return nil
 	}
 	if err := f.Sync(); err != nil {
 		f.Abort()
@@ -84,13 +106,16 @@ func (f *File) Abort() {
 	// dead either way and the destination was never touched.
 	//lint:ignore errcheck-io abort of a temp file; destination is untouched either way
 	f.Close()
+	if f.inPlace {
+		return
+	}
 	//lint:ignore errcheck-io abort of a temp file; destination is untouched either way
 	os.Remove(f.Name())
 }
 
 // WriteFile atomically replaces dest with data, with perm applied to the
 // published file. It is the drop-in replacement for os.WriteFile on result
-// artifacts.
+// artifacts. A device or FIFO destination keeps its own mode.
 func WriteFile(dest string, data []byte, perm os.FileMode) error {
 	f, err := Create(dest)
 	if err != nil {
@@ -99,6 +124,9 @@ func WriteFile(dest string, data []byte, perm os.FileMode) error {
 	defer f.Abort()
 	if _, err := f.Write(data); err != nil {
 		return fmt.Errorf("atomicio: write %s: %w", dest, err)
+	}
+	if f.inPlace {
+		return f.Commit()
 	}
 	if err := f.Chmod(perm); err != nil {
 		return fmt.Errorf("atomicio: chmod %s: %w", dest, err)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"randfill/internal/aes"
-	"randfill/internal/mem"
 	"randfill/internal/plcache"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
@@ -94,11 +93,10 @@ type Collision struct {
 	src     *rng.Source
 	layout  aes.Layout
 	warmups int
-	// trace and ct are the recycled per-encryption access trace and its
-	// compiled form; Collect runs one encryption per sample, so buffer
-	// reuse keeps the sample loop allocation-free.
-	trace mem.Trace
-	ct    trace.Compiled
+	// ct is the recycled per-encryption packed trace; Collect runs one
+	// encryption per sample, so reusing it keeps the sample loop
+	// allocation-free.
+	ct trace.Compiled
 }
 
 // bytePair identifies one recovered XOR relation.
@@ -262,17 +260,16 @@ func (a *Collision) Collect(n int) {
 		a.warmups++
 		a.src.Bytes(pt[:])
 		a.cleanCache()
-		_, a.trace = a.tracer.EncryptBlockInto(a.trace[:0], pt[:], 0)
-		a.thread.ReplayBatch(trace.CompileInto(&a.ct, a.trace))
+		a.tracer.EncryptBlockCompiled(&a.ct, pt[:], 0)
+		a.thread.ReplayBatch(&a.ct)
 		a.thread.Drain()
 	}
 	for s := 0; s < n; s++ {
 		a.src.Bytes(pt[:])
 		a.cleanCache()
 		start := a.thread.Cycle()
-		var ct [16]byte
-		ct, a.trace = a.tracer.EncryptBlockInto(a.trace[:0], pt[:], 0)
-		a.thread.ReplayBatch(trace.CompileInto(&a.ct, a.trace))
+		ct := a.tracer.EncryptBlockCompiled(&a.ct, pt[:], 0)
+		a.thread.ReplayBatch(&a.ct)
 		a.thread.Drain()
 		elapsed := a.thread.Cycle() - start
 		a.timing.Add(elapsed)

@@ -67,17 +67,17 @@ func AblationFillQueue(sc Scale) *Table {
 		Title:   "Ablation: random fill queue depth (AES-CBC, window [-16,+15], 2-entry miss queue)",
 		Headers: []string{"queue depth", "random fills landed", "IPC vs demand"},
 	}
-	trace := aesCBCTrace(sc)
-	base := sim.New(sim.Config{Seed: sc.Seed}).RunTrace(sim.ThreadConfig{}, trace)
+	ct := aesCBCTrace(sc)
+	base := runAES(sim.Config{Seed: sc.Seed}, sim.ThreadConfig{}, ct)
 	depths := []int{1, 4, 16, 64}
 	results := parexp.Map(sc.engine(), len(depths), func(i int) sim.Result {
 		cfg := sim.DefaultConfig()
 		cfg.Seed = sc.Seed
 		cfg.MissQueue = 2
 		cfg.FillQueueCap = depths[i]
-		return sim.New(cfg).RunTrace(sim.ThreadConfig{
+		return runAES(cfg, sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-		}, trace)
+		}, ct)
 	})
 	for i, res := range results {
 		t.AddRow(fmt.Sprintf("%d", depths[i]),
@@ -96,7 +96,7 @@ func AblationMissQueue(sc Scale) *Table {
 		Title:   "Ablation: miss queue entries (AES-CBC, demand fetch)",
 		Headers: []string{"entries", "IPC", "vs 4 entries"},
 	}
-	trace := aesCBCTrace(sc)
+	ct := aesCBCTrace(sc)
 	sizes := []int{1, 2, 4, 8}
 	// Each size is simulated once; the "vs 4 entries" column is computed
 	// from the collected IPCs rather than re-running every configuration.
@@ -104,7 +104,7 @@ func AblationMissQueue(sc Scale) *Table {
 		cfg := sim.DefaultConfig()
 		cfg.Seed = sc.Seed
 		cfg.MissQueue = sizes[i]
-		return sim.New(cfg).RunTrace(sim.ThreadConfig{}, trace).IPC()
+		return runAES(cfg, sim.ThreadConfig{}, ct).IPC()
 	})
 	var base float64
 	for i, n := range sizes {
@@ -127,9 +127,9 @@ func AblationDropOnHit(sc Scale) *Table {
 		Title:   "Ablation: drop-if-present tag check (AES-CBC, window [-16,+15])",
 		Headers: []string{"variant", "IPC vs demand", "L2 accesses vs demand"},
 	}
-	trace := aesCBCTrace(sc)
+	ct := aesCBCTrace(sc)
 	mBase := sim.New(sim.Config{Seed: sc.Seed})
-	base := mBase.RunTrace(sim.ThreadConfig{}, trace)
+	base := mBase.NewThread(sim.ThreadConfig{}).RunCompiled(ct)
 
 	keeps := []bool{false, true}
 	type dropResult struct {
@@ -138,11 +138,11 @@ func AblationDropOnHit(sc Scale) *Table {
 	}
 	results := parexp.Map(sc.engine(), len(keeps), func(i int) dropResult {
 		m := sim.New(sim.Config{Seed: sc.Seed})
-		res := m.RunTrace(sim.ThreadConfig{
+		res := m.NewThread(sim.ThreadConfig{
 			Mode:               sim.ModeRandomFill,
 			Window:             rng.Window{A: 16, B: 15},
 			KeepRedundantFills: keeps[i],
-		}, trace)
+		}).RunCompiled(ct)
 		return dropResult{res.IPC(), m.L2Accesses()}
 	})
 	for i, r := range results {
@@ -164,8 +164,8 @@ func AblationL2RandomFill(sc Scale) *Table {
 		Title:   "Ablation: random fill at L1 only vs L1+L2 (AES-CBC, window [-16,+15])",
 		Headers: []string{"variant", "IPC vs demand"},
 	}
-	trace := aesCBCTrace(sc)
-	base := sim.New(sim.Config{Seed: sc.Seed}).RunTrace(sim.ThreadConfig{}, trace)
+	ct := aesCBCTrace(sc)
+	base := runAES(sim.Config{Seed: sc.Seed}, sim.ThreadConfig{}, ct)
 	w := rng.Window{A: 16, B: 15}
 
 	variants := []sim.Config{
@@ -173,9 +173,9 @@ func AblationL2RandomFill(sc Scale) *Table {
 		{Seed: sc.Seed, L2Window: w},
 	}
 	ipcs := parexp.Map(sc.engine(), len(variants), func(i int) float64 {
-		return sim.New(variants[i]).RunTrace(sim.ThreadConfig{
+		return runAES(variants[i], sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: w,
-		}, trace).IPC()
+		}, ct).IPC()
 	})
 
 	t.AddRow("L1 random fill", pct(ipcs[0]/base.IPC()))

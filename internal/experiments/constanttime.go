@@ -22,7 +22,7 @@ func ConstantTime(sc Scale) *Table {
 		Headers: []string{"defense", "IPC vs baseline", "handler traps",
 			"notes"},
 	}
-	ct := trace.Compile(aesCBCTrace(sc))
+	ct := aesCBCTrace(sc)
 
 	// An 8 KB 2-way L1: the tables do not fit comfortably, so eviction
 	// pressure is real and the preloading strategies' costs show (a big
@@ -76,7 +76,7 @@ func InformingDoS(sc Scale) *Table {
 		Title:   "Section VIII: informing-loads DoS amplification under an evicting co-runner",
 		Headers: []string{"victim defense", "solo IPC", "co-run IPC", "slowdown", "traps"},
 	}
-	victim := trace.Compile(aesCBCTrace(sc))
+	victim := aesCBCTrace(sc)
 	// The attacker streams over a large buffer, evicting the victim's
 	// tables from the shared L1 as fast as it can.
 	attacker := trace.Compile(streamingEvictTrace(sc))

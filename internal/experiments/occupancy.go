@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"randfill/internal/attacks"
 	"randfill/internal/cache"
 	"randfill/internal/rng"
 	"randfill/internal/securecache"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 )
 
 // occCell is one design's row of the security x performance matrix: both
@@ -55,8 +57,8 @@ var occupancyVictimSizes = []int{16, 32, 64, 96}
 // occupancyCell evaluates one registered design: the reuse (flush + reload)
 // channel over the AES table region, the occupancy channel over the victim
 // size sweep, and the AES-CBC IPC/MPKI of the same architecture on the
-// timing simulator.
-func occupancyCell(sc Scale, d securecache.Design, seed uint64) occCell {
+// timing simulator, replaying the shared AES-CBC trace cbc.
+func occupancyCell(sc Scale, d securecache.Design, seed uint64, cbc *trace.Compiled) occCell {
 	mk := func(geom cache.Geometry) func(src *rng.Source) securecache.SecureCache {
 		return func(src *rng.Source) securecache.SecureCache {
 			return d.New(securecache.Config{Geom: geom}, src)
@@ -94,7 +96,7 @@ func occupancyCell(sc Scale, d securecache.Design, seed uint64) occCell {
 	} else {
 		cfg.L1Kind = sim.CacheKind(d.Name)
 	}
-	res := runAES(cfg, tc, aesCBCTrace(sc))
+	res := runAES(cfg, tc, cbc)
 
 	return occCell{
 		reuseAcc: reuse.Accuracy, reuseMI: reuse.MutualInfo,
@@ -106,9 +108,11 @@ func occupancyCell(sc Scale, d securecache.Design, seed uint64) occCell {
 // occupancyPlan is OccupancyMatrix's work-unit plan: one registered
 // secure-cache design's full cell per unit. Per-unit seeds derive from the
 // master seed through a dedicated stream, so cells are independent pure
-// functions of (Scale, index).
+// functions of (Scale, index). The AES-CBC trace every cell replays is
+// traced on first use, once per plan, so a fully resumed run never traces.
 func occupancyPlan(sc Scale) unitPlan[occCell] {
 	designs := securecache.All()
+	cbc := sync.OnceValue(func() *trace.Compiled { return aesCBCTrace(sc) })
 	seedFor := func(i int) uint64 {
 		return rng.New(sc.Seed ^ 0x0cc9).SplitSeed(uint64(i + 1))
 	}
@@ -117,7 +121,7 @@ func occupancyPlan(sc Scale) unitPlan[occCell] {
 		n:    len(designs),
 		seed: seedFor,
 		run: func(_ context.Context, i int) (occCell, error) {
-			return occupancyCell(sc, designs[i], seedFor(i)), nil
+			return occupancyCell(sc, designs[i], seedFor(i), cbc()), nil
 		},
 		marshal: func(c occCell) ([]byte, error) { return c.MarshalBinary() },
 		unmarshal: func(data []byte) (occCell, error) {

@@ -9,58 +9,56 @@ import (
 	"randfill/internal/parexp"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 )
 
-// aesCBCTrace builds the Figure 6/7 workload: AES-CBC encryption of
-// sc.CBCBytes of random input (the paper uses 32 KB).
-func aesCBCTrace(sc Scale) mem.Trace {
-	src := rng.New(sc.Seed ^ 0xcbc)
-	var key, iv [16]byte
-	src.Bytes(key[:])
-	src.Bytes(iv[:])
-	pt := make([]byte, sc.CBCBytes)
-	src.Bytes(pt)
-	cipher, err := aes.New(key[:])
-	if err != nil {
+// aesCBCTrace traces the Figure 6/7 workload: AES-CBC encryption of
+// sc.CBCBytes of random input (the paper uses 32 KB). Every experiment that
+// replays it traces it once and shares the read-only result.
+func aesCBCTrace(sc Scale) *trace.Compiled {
+	ct := new(trace.Compiled)
+	tracer, pt, iv := aesWorkload(sc.Seed^0xcbc, sc.CBCBytes)
+	if _, err := tracer.EncryptCBCCompiled(ct, pt, iv); err != nil {
 		panic(err)
 	}
-	tracer := &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}
-	_, trace, err := tracer.EncryptCBC(pt, iv[:])
-	if err != nil {
-		panic(err)
-	}
-	return trace
+	return ct
 }
 
-// aesEncDecTrace builds the Figure 8 crypto workload: continuous AES
-// encryption and decryption (touching all ten tables).
-func aesEncDecTrace(sc Scale) mem.Trace {
-	src := rng.New(sc.Seed ^ 0xdec)
-	var key, iv [16]byte
-	src.Bytes(key[:])
-	src.Bytes(iv[:])
-	pt := make([]byte, sc.CBCBytes)
-	src.Bytes(pt)
-	cipher, err := aes.New(key[:])
+// aesEncDecTrace traces the Figure 8 crypto workload: continuous AES
+// encryption and decryption (touching all ten tables), as one trace.
+func aesEncDecTrace(sc Scale) *trace.Compiled {
+	ct := new(trace.Compiled)
+	tracer, pt, iv := aesWorkload(sc.Seed^0xdec, sc.CBCBytes)
+	enc, err := tracer.EncryptCBCCompiled(ct, pt, iv)
 	if err != nil {
 		panic(err)
 	}
-	tracer := &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}
-	ct, encTrace, err := tracer.EncryptCBC(pt, iv[:])
-	if err != nil {
+	if _, err := tracer.DecryptCBCCompiled(ct, enc, iv); err != nil {
 		panic(err)
 	}
-	_, decTrace, err := tracer.DecryptCBC(ct, iv[:])
-	if err != nil {
-		panic(err)
-	}
-	return append(encTrace, decTrace...)
+	return ct
 }
 
-// runAES runs the CBC trace on one machine/thread configuration and
-// returns the thread result.
-func runAES(cfg sim.Config, tc sim.ThreadConfig, trace mem.Trace) sim.Result {
-	return sim.New(cfg).RunTrace(tc, trace)
+// aesWorkload draws a key, an IV and n bytes of plaintext from seed and
+// returns a tracer under the default layout keyed with them.
+func aesWorkload(seed uint64, n int) (*aes.Tracer, []byte, []byte) {
+	src := rng.New(seed)
+	key, iv := make([]byte, 16), make([]byte, 16)
+	src.Bytes(key)
+	src.Bytes(iv)
+	pt := make([]byte, n)
+	src.Bytes(pt)
+	cipher, err := aes.New(key)
+	if err != nil {
+		panic(err)
+	}
+	return &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}, pt, iv
+}
+
+// runAES replays the compiled AES trace on one machine/thread
+// configuration and returns the thread result.
+func runAES(cfg sim.Config, tc sim.ThreadConfig, ct *trace.Compiled) sim.Result {
+	return sim.New(cfg).NewThread(tc).RunCompiled(ct)
 }
 
 // encTables returns the five encryption-table regions (the Figure 6
@@ -86,7 +84,7 @@ func figure6Geometries() []cache.Geometry {
 // geometry, the IPC of PLcache+preload, disable-cache and random fill
 // [-16,+15], normalized to the demand-fetch baseline of the same geometry.
 func Figure6(sc Scale) *Table {
-	trace := aesCBCTrace(sc)
+	ct := aesCBCTrace(sc)
 	t := &Table{
 		Title:   "Figure 6: normalized IPC of AES-CBC under each defense",
 		Headers: []string{"L1 geometry", "baseline", "PLcache+preload", "disable cache", "random fill"},
@@ -102,14 +100,14 @@ func Figure6(sc Scale) *Table {
 			cfg.Seed = sc.Seed
 			return cfg
 		}
-		baseline := runAES(base(sim.KindSA), sim.ThreadConfig{}, trace)
+		baseline := runAES(base(sim.KindSA), sim.ThreadConfig{}, ct)
 		preload := runAES(base(sim.KindPLcache), sim.ThreadConfig{
 			Mode: sim.ModePreload, SecretRegions: encTables(), Owner: 1,
-		}, trace)
-		disable := runAES(base(sim.KindSA), sim.ThreadConfig{Mode: sim.ModeDisableSecret}, trace)
+		}, ct)
+		disable := runAES(base(sim.KindSA), sim.ThreadConfig{Mode: sim.ModeDisableSecret}, ct)
 		rf := runAES(base(sim.KindSA), sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-		}, trace)
+		}, ct)
 		return [4]float64{baseline.IPC(), preload.IPC(), disable.IPC(), rf.IPC()}
 	})
 	for i, r := range rows {
@@ -124,7 +122,7 @@ func Figure6(sc Scale) *Table {
 // normalized to the same cache with demand fetch, for the SA cache (8 KB DM
 // and 32 KB 4-way) and Newcache (8 KB and 32 KB).
 func Figure7(sc Scale) *Table {
-	trace := aesCBCTrace(sc)
+	ct := aesCBCTrace(sc)
 	t := &Table{
 		Title:   "Figure 7: normalized IPC of AES vs random fill window size",
 		Headers: []string{"window", "8KB DM SA", "32KB 4-way SA", "8KB Newcache", "32KB Newcache"},
@@ -144,7 +142,7 @@ func Figure7(sc Scale) *Table {
 		cfg.L1 = configs[i].geom
 		cfg.L1Kind = configs[i].kind
 		cfg.Seed = sc.Seed
-		return runAES(cfg, sim.ThreadConfig{}, trace).IPC()
+		return runAES(cfg, sim.ThreadConfig{}, ct).IPC()
 	})
 	sizes := []int{1, 2, 4, 8, 16, 32}
 	// One work item per (size, config) cell, index-ordered back into rows.
@@ -158,7 +156,7 @@ func Figure7(sc Scale) *Table {
 		if size > 1 {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}
 		}
-		return runAES(cfg, tc, trace).IPC()
+		return runAES(cfg, tc, ct).IPC()
 	})
 	for si, size := range sizes {
 		row := []string{fmt.Sprintf("%d", size)}

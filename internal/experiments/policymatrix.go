@@ -3,12 +3,14 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"randfill/internal/attacks"
 	"randfill/internal/cache"
 	"randfill/internal/rng"
 	"randfill/internal/securecache"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 )
 
 // policyMatrixVictimSizes is the occupancy sweep of the policy matrix: the
@@ -21,8 +23,8 @@ var policyMatrixVictimSizes = []int{32, 96}
 // the replacement policy overridden on both the attack caches (via
 // securecache.Config.Policy) and the simulator L1 (via Config.L1Policy). The
 // per-channel budgets are a fraction of OccupancyMatrix's because the matrix
-// has six times the cells.
-func policyCell(sc Scale, pol string, d securecache.Design, seed uint64) occCell {
+// has six times the cells. cbc is the shared AES-CBC trace.
+func policyCell(sc Scale, pol string, d securecache.Design, seed uint64, cbc *trace.Compiled) occCell {
 	mk := func(geom cache.Geometry) func(src *rng.Source) securecache.SecureCache {
 		return func(src *rng.Source) securecache.SecureCache {
 			return d.New(securecache.Config{Geom: geom, Policy: pol}, src)
@@ -55,7 +57,7 @@ func policyCell(sc Scale, pol string, d securecache.Design, seed uint64) occCell
 	} else {
 		cfg.L1Kind = sim.CacheKind(d.Name)
 	}
-	res := runAES(cfg, tc, aesCBCTrace(sc))
+	res := runAES(cfg, tc, cbc)
 
 	return occCell{
 		reuseAcc: reuse.Accuracy, reuseMI: reuse.MutualInfo,
@@ -67,10 +69,12 @@ func policyCell(sc Scale, pol string, d securecache.Design, seed uint64) occCell
 // policyPlan is PolicyMatrix's work-unit plan: one (policy, design) cell
 // per unit, policy-major in registry order. Per-unit seeds derive from the
 // master seed through a dedicated stream (distinct from OccupancyMatrix's
-// 0x0cc9), so cells are independent pure functions of (Scale, index).
+// 0x0cc9), so cells are independent pure functions of (Scale, index). As in
+// occupancyPlan, the AES-CBC trace is traced on first use, once per plan.
 func policyPlan(sc Scale) unitPlan[occCell] {
 	policies := cache.PolicyNames()
 	designs := securecache.All()
+	cbc := sync.OnceValue(func() *trace.Compiled { return aesCBCTrace(sc) })
 	seedFor := func(i int) uint64 {
 		return rng.New(sc.Seed ^ 0x9011c).SplitSeed(uint64(i + 1))
 	}
@@ -79,7 +83,7 @@ func policyPlan(sc Scale) unitPlan[occCell] {
 		n:    len(policies) * len(designs),
 		seed: seedFor,
 		run: func(_ context.Context, i int) (occCell, error) {
-			return policyCell(sc, policies[i/len(designs)], designs[i%len(designs)], seedFor(i)), nil
+			return policyCell(sc, policies[i/len(designs)], designs[i%len(designs)], seedFor(i), cbc()), nil
 		},
 		marshal: func(c occCell) ([]byte, error) { return c.MarshalBinary() },
 		unmarshal: func(data []byte) (occCell, error) {

@@ -33,7 +33,7 @@ func Figure8(sc Scale) *Table {
 		Headers: []string{"L1", "benchmark", "baseline", "PLcache+preload",
 			"Randomfill+SA", "Newcache", "Randomfill+Newcache"},
 	}
-	crypto := trace.Compile(aesEncDecTrace(sc))
+	crypto := aesEncDecTrace(sc)
 	w := rng.Symmetric(32) // bidirectional window of 32 lines (Section VI)
 	geoms := []cache.Geometry{
 		{SizeBytes: 16 * 1024, Ways: 1},
