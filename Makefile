@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet lint lint-fast ci cover bench bench-json bench-compare bench-pair profile experiments fuzz fuzz-smoke conformance crash-resume fabric-fault clean
+.PHONY: all build test test-short vet lint lint-fast ci cover bench bench-json bench-compare bench-pair profile experiments fuzz fuzz-smoke conformance crash-resume partition clean
 
 all: build lint test
 
@@ -87,13 +87,13 @@ experiments-full: build
 crash-resume:
 	$(GO) test -race -run 'CrashResume|DeadlineExit|InterruptExit|UsageErrors' ./cmd/experiments
 
-# Distributed-fabric fault suite: multi-process coordinator/worker runs of
-# the real binary with whole-worker kills, stalls, torn leases, and clock
-# skew; every topology must print the single-process bytes (see ci.yml
-# fabric-fault).
-fabric-fault:
-	$(GO) test -race -run 'Fabric' -timeout 15m ./cmd/experiments
-	$(GO) test -race ./internal/fabric/
+# Static-partition suite: -units k/4 processes over one shared store, with
+# 2 of them fault-killed and re-run, and over 4 private stores merged with
+# -join; every topology must print the single-process bytes (see ci.yml
+# partition).
+partition:
+	$(GO) test -race -run 'Partition|Resumable' ./internal/experiments
+	$(GO) test -race -run 'Fabric' ./cmd/experiments
 
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/traceio/

@@ -9,34 +9,31 @@
 // for recorded paper-vs-measured results.
 //
 // Long runs are crash-safe: with -checkpoint-dir every completed work unit
-// of the resumable experiments (Figure2, Table3, MissQueueSecurity) is
-// flushed to disk the moment it finishes, and -resume loads those units
-// instead of re-running them — the resumed output is byte-identical to an
-// uninterrupted run at any -workers value. The first SIGINT or SIGTERM
-// cancels cooperatively (in-flight units finish and flush); a second exits
-// immediately, leaving best-effort aborted markers so a resuming
-// coordinator prioritizes the units that were in flight.
+// of the resumable experiments (Figure2, Table3, MissQueueSecurity,
+// OccupancyMatrix, PolicyMatrix) is flushed to disk the moment it finishes,
+// and -resume loads those units instead of re-running them — the resumed
+// output is byte-identical to an uninterrupted run at any -workers value.
+// The first SIGINT or SIGTERM cancels cooperatively (in-flight units finish
+// and flush); a second exits immediately.
 //
-// Multi-process runs distribute one resumable experiment's work units
-// across worker processes over a shared fabric directory (internal/fabric;
-// no network — the filesystem is the bus):
+// Multi-process and multi-machine runs split one resumable experiment's
+// units statically: -units k/N runs only the units i with i % N == k,
+// flushes them to -checkpoint-dir, prints no table, and exits 0. Run the N
+// partitions against one shared store, then render with -resume:
 //
-//	experiments -role coordinator -fabric-dir F -run PolicyMatrix -fabric-spawn 4
-//	experiments -role worker      -fabric-dir F -run PolicyMatrix   # more, any time
+//	experiments -run PolicyMatrix -checkpoint-dir D -units 0/4 &   # ... 3/4
+//	experiments -run PolicyMatrix -checkpoint-dir D -resume
 //
-// The coordinator hands units out through lease files, re-dispatches
-// expired leases with exponential backoff, and renders the final table from
-// the checkpoint store — byte-identical to a single-process run no matter
-// how many workers ran, died, or were re-dispatched. -join merges the
-// checkpoint stores of partial runs into -checkpoint-dir and renders from
-// the merged store, with the same byte-identity guarantee.
+// or give each partition its own store and merge them with -join, which
+// adopts every verified unit into -checkpoint-dir and renders from the
+// merged store. Either render recomputes any unit still missing (a killed
+// partition's), and its stdout is byte-identical to a single-process run.
 //
-// Exit codes: 0 success; 1 experiment failure; 2 usage error; 3 interrupted
-// by a signal (completed units were flushed if -checkpoint-dir was set);
-// 4 -timeout deadline exceeded (same flush guarantee); 5 fabric coordinator
-// refused — another live coordinator holds the fabric directory; 130 hard
-// exit on a second signal; 137 fault-injected kill (-fault-plan, crash
-// tests only).
+// Exit codes: 0 success (including a -units partition run); 1 experiment
+// failure; 2 usage error; 3 interrupted by a signal (completed units were
+// flushed if -checkpoint-dir was set); 4 -timeout deadline exceeded (same
+// flush guarantee); 130 hard exit on a second signal; 137 fault-injected
+// kill (-fault-plan, crash tests only).
 package main
 
 import (
@@ -45,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -53,7 +49,6 @@ import (
 
 	"randfill/internal/checkpoint"
 	"randfill/internal/experiments"
-	"randfill/internal/fabric"
 	"randfill/internal/faultinject"
 	"randfill/internal/profiling"
 )
@@ -80,14 +75,8 @@ func run() int {
 	resume := flag.Bool("resume", false, "load completed units from -checkpoint-dir instead of re-running them")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the run (0 = none); on expiry completed units are already flushed")
 	faultPlan := flag.String("fault-plan", "", "fault-injection plan for crash testing, e.g. 'kill-after-puts=3' (see internal/faultinject)")
-	role := flag.String("role", "", "fabric role: coordinator or worker (requires -fabric-dir and a single resumable -run)")
-	fabricDir := flag.String("fabric-dir", "", "shared fabric directory for multi-process runs (see internal/fabric)")
-	workerID := flag.String("worker-id", "", "this worker's id (default worker-<pid>)")
-	fabricSpawn := flag.Int("fabric-spawn", 0, "coordinator convenience: spawn this many worker subprocesses of this binary")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fabric lease duration; a worker silent this long is presumed dead")
-	fabricPoll := flag.Duration("fabric-poll", 200*time.Millisecond, "fabric scan/claim interval")
-	idleExit := flag.Duration("worker-idle-exit", time.Minute, "worker exits cleanly after this long with no work and no done marker (0 = wait forever)")
-	joinSrcs := flag.String("join", "", "comma-separated checkpoint or fabric dirs to merge into -checkpoint-dir, then render from the merged store")
+	units := flag.String("units", "", "run only partition k/N of a resumable experiment's units (i % N == k), flush them to -checkpoint-dir, and print no table")
+	joinSrcs := flag.String("join", "", "comma-separated checkpoint dirs to merge into -checkpoint-dir, then render from the merged store")
 	flag.Parse()
 
 	stop, err := profiling.Start(*cpuprofile, *memprofile)
@@ -133,22 +122,36 @@ func run() int {
 		plan = p
 	}
 
-	// Resolve the run mode up front so the signal handler knows where
-	// best-effort aborted markers belong.
-	if *role != "" && *role != "coordinator" && *role != "worker" {
-		return usage("unknown -role %q (want coordinator or worker)", *role)
+	var todo []experiments.Experiment
+	if strings.EqualFold(*runFlag, "all") {
+		todo = experiments.All()
+	} else {
+		e, ok := experiments.ByName(*runFlag)
+		if !ok {
+			return usage("unknown experiment %q; -list shows the registry", *runFlag)
+		}
+		todo = []experiments.Experiment{e}
 	}
-	if *role != "" {
-		if *fabricDir == "" {
-			return usage("-role %s requires -fabric-dir", *role)
+	if *units != "" {
+		p, err := experiments.ParsePartition(*units)
+		if err != nil {
+			return usage("-units: %v", err)
 		}
-		if *ckptDir != "" || *resume || *joinSrcs != "" {
-			return usage("-role uses <fabric-dir>/ckpt as its store; -checkpoint-dir, -resume, and -join do not combine with it")
+		if *ckptDir == "" {
+			return usage("-units requires -checkpoint-dir (the store its units are flushed to)")
 		}
-		if _, ok := experiments.PlanFor(*runFlag, sc); !ok {
-			return usage("-role requires a single resumable -run experiment (Figure2, Table3, MissQueueSecurity, OccupancyMatrix, PolicyMatrix); got %q", *runFlag)
+		if len(todo) != 1 || !todo[0].Resumable {
+			var names []string
+			for _, e := range experiments.All() {
+				if e.Resumable {
+					names = append(names, e.Name)
+				}
+			}
+			return usage("-units requires a single resumable -run experiment (%s); got %q", strings.Join(names, ", "), *runFlag)
 		}
+		sc.Units = p
 	}
+
 	if *ckptDir == "" {
 		if *resume {
 			return usage("-resume requires -checkpoint-dir")
@@ -156,7 +159,7 @@ func run() int {
 		if *joinSrcs != "" {
 			return usage("-join requires -checkpoint-dir (the destination store)")
 		}
-		if *faultPlan != "" && *role == "" {
+		if *faultPlan != "" {
 			return usage("-fault-plan requires -checkpoint-dir (it injects faults at checkpoint writes)")
 		}
 	} else {
@@ -172,32 +175,6 @@ func run() int {
 		sc.Resume = *resume
 	}
 
-	procID := *workerID
-	if procID == "" {
-		procID = fmt.Sprintf("%s-%d", orSolo(*role), os.Getpid())
-	}
-	// abortStoreDir is where the hard-kill path leaves aborted markers: the
-	// fabric's shared store for fabric roles, -checkpoint-dir otherwise.
-	abortStoreDir := *ckptDir
-	if *role != "" {
-		abortStoreDir = fabric.Layout{Root: *fabricDir}.CheckpointDir()
-	}
-	tracker := fabric.NewInFlight(procID)
-	if sc.Checkpoint != nil {
-		sc.Track = tracker.Observe
-	}
-
-	var todo []experiments.Experiment
-	if strings.EqualFold(*runFlag, "all") {
-		todo = experiments.All()
-	} else {
-		e, ok := experiments.ByName(*runFlag)
-		if !ok {
-			return usage("unknown experiment %q; -list shows the registry", *runFlag)
-		}
-		todo = []experiments.Experiment{e}
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if *timeout > 0 {
@@ -208,9 +185,7 @@ func run() int {
 
 	// First signal: cancel cooperatively — workers stop claiming new units,
 	// units already running finish and flush their checkpoints, and the run
-	// exits 3. Second signal: exit immediately, leaving best-effort aborted
-	// markers for the units in flight so a resuming coordinator runs them
-	// first.
+	// exits 3. Second signal: exit immediately.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
@@ -220,35 +195,11 @@ func run() int {
 		cancel()
 		<-sigc
 		fmt.Fprintln(os.Stderr, "experiments: second signal, exiting immediately")
-		tracker.WriteAborted(abortStoreDir)
 		os.Exit(130)
 	}()
 
-	switch *role {
-	case "worker":
-		return runFabricWorker(ctx, sc, *runFlag, *fabricDir, procID,
-			*leaseTTL, *fabricPoll, *idleExit, plan, tracker)
-	case "coordinator":
-		var spawnArgs []string
-		if *fabricSpawn > 0 {
-			spawnArgs = []string{
-				"-role", "worker", "-fabric-dir", *fabricDir, "-run", *runFlag,
-				"-scale", *scale,
-				"-seed", fmt.Sprint(sc.Seed),
-				"-attack-cap", fmt.Sprint(*attackCap),
-				"-mc-trials", fmt.Sprint(*mcTrials),
-				"-workers", fmt.Sprint(*workers),
-				"-lease-ttl", leaseTTL.String(),
-				"-fabric-poll", fabricPoll.String(),
-				"-worker-idle-exit", idleExit.String(),
-			}
-		}
-		return runFabricCoordinator(ctx, sc, *runFlag, *fabricDir, procID,
-			*leaseTTL, *fabricPoll, plan, *fabricSpawn, spawnArgs)
-	}
-
 	if *joinSrcs != "" {
-		rep, err := fabric.Join(sc.Checkpoint, strings.Split(*joinSrcs, ","))
+		rep, err := sc.Checkpoint.Join(strings.Split(*joinSrcs, ","))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			return 1
@@ -261,12 +212,11 @@ func run() int {
 		sc.Resume = true
 	}
 
-	return runSolo(ctx, sc, todo)
+	return runExperiments(ctx, sc, todo)
 }
 
-// runSolo is the original single-process flow: run each requested
-// experiment and print its table.
-func runSolo(ctx context.Context, sc experiments.Scale, todo []experiments.Experiment) int {
+// runExperiments runs each requested experiment and prints its table.
+func runExperiments(ctx context.Context, sc experiments.Scale, todo []experiments.Experiment) int {
 	note := ""
 	if sc.Checkpoint != nil {
 		note = "; completed units are flushed to " + sc.Checkpoint.Dir() + " — rerun with -resume to continue"
@@ -277,6 +227,11 @@ func runSolo(ctx context.Context, sc experiments.Scale, todo []experiments.Exper
 		t, err := e.Run(ctx, sc)
 		if err != nil {
 			switch {
+			case errors.Is(err, experiments.ErrPartial):
+				// A -units partition run: its units are flushed and a
+				// -resume or -join run renders the table.
+				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				return 0
 			case errors.Is(err, context.DeadlineExceeded):
 				fmt.Fprintf(os.Stderr, "experiments: %s: deadline exceeded, results are partial%s\n", e.Name, note)
 				return 4
@@ -294,168 +249,5 @@ func runSolo(ctx context.Context, sc experiments.Scale, todo []experiments.Exper
 		//lint:ignore detrand wall-clock progress display only; never feeds simulator or experiment state
 		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
-	return 0
-}
-
-// orSolo names the process for in-flight tracking: the fabric role when
-// set, "solo" otherwise.
-func orSolo(role string) string {
-	if role == "" {
-		return "solo"
-	}
-	return role
-}
-
-// fabricPlan adapts an experiment's exported work-unit plan to the fabric's
-// type-erased form and opens the fabric's shared checkpoint store.
-func fabricPlan(name string, sc experiments.Scale, dir string) (fabric.Plan, *checkpoint.Store, error) {
-	layout := fabric.Layout{Root: dir}
-	if err := layout.Prepare(); err != nil {
-		return fabric.Plan{}, nil, err
-	}
-	store, err := checkpoint.Open(layout.CheckpointDir())
-	if err != nil {
-		return fabric.Plan{}, nil, err
-	}
-	wp, ok := experiments.PlanFor(name, sc)
-	if !ok {
-		return fabric.Plan{}, nil, fmt.Errorf("no work-unit plan for %q", name)
-	}
-	return fabric.Plan{Name: wp.Name, Units: wp.Units, Meta: wp.Meta, RunUnit: wp.RunUnit}, store, nil
-}
-
-// runFabricWorker claims and executes leased units until the coordinator
-// publishes the done marker (or the worker idles out). It writes nothing to
-// stdout: the coordinator owns the rendered table.
-func runFabricWorker(ctx context.Context, sc experiments.Scale, name, dir, id string,
-	ttl, poll, idle time.Duration, plan *faultinject.Plan, tracker *fabric.InFlight) int {
-	fp, store, err := fabricPlan(name, sc, dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: worker %s: %v\n", id, err)
-		return 1
-	}
-	cfg := fabric.WorkerConfig{
-		Dir: dir, ID: id, Plan: fp, Store: store,
-		TTL: ttl, Poll: poll, IdleExit: idle,
-		Track: tracker, Log: os.Stderr,
-	}
-	if plan != nil {
-		store.Hooks = plan
-		cfg.BeforeUnit = plan.StallBeforeUnit
-		cfg.AfterUnit = plan.KillAfterUnit
-		cfg.AfterLeaseWrite = plan.AfterLeaseWrite
-		if plan.ClockSkew != 0 {
-			cfg.Clock = fabric.SkewedClock(plan.ClockSkew)
-		}
-	}
-	res, err := fabric.RunWorker(ctx, cfg)
-	switch {
-	case err == nil:
-		fmt.Fprintf(os.Stderr, "experiments: worker %s: %d units completed, %d fenced, %d skipped\n",
-			id, res.Completed, res.Fenced, res.Skipped)
-		return 0
-	case errors.Is(err, context.DeadlineExceeded):
-		fmt.Fprintf(os.Stderr, "experiments: worker %s: deadline exceeded\n", id)
-		return 4
-	case errors.Is(err, context.Canceled):
-		fmt.Fprintf(os.Stderr, "experiments: worker %s: interrupted\n", id)
-		return 3
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: worker %s: %v\n", id, err)
-		return 1
-	}
-}
-
-// runFabricCoordinator dispatches the experiment's units over the fabric
-// directory, optionally spawning worker subprocesses of this same binary,
-// and renders the final table from the shared store once every unit is
-// checkpointed — byte-identical to a single-process run.
-func runFabricCoordinator(ctx context.Context, sc experiments.Scale, name, dir, id string,
-	ttl, poll time.Duration, plan *faultinject.Plan, spawn int, spawnArgs []string) int {
-	fp, store, err := fabricPlan(name, sc, dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: coordinator %s: %v\n", id, err)
-		return 1
-	}
-	cfg := fabric.CoordinatorConfig{
-		Dir: dir, ID: id, Plan: fp, Store: store,
-		TTL: ttl, Poll: poll, Log: os.Stderr,
-	}
-	if plan != nil {
-		cfg.AfterLeaseWrite = plan.AfterLeaseWrite
-		if plan.ClockSkew != 0 {
-			cfg.Clock = fabric.SkewedClock(plan.ClockSkew)
-		}
-	}
-
-	var kids []*exec.Cmd
-	if spawn > 0 {
-		bin, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: coordinator %s: %v\n", id, err)
-			return 1
-		}
-		for i := 0; i < spawn; i++ {
-			args := append([]string{}, spawnArgs...)
-			args = append(args, "-worker-id", fmt.Sprintf("%s-w%d", id, i))
-			kid := exec.CommandContext(ctx, bin, args...)
-			kid.Stderr = os.Stderr
-			if err := kid.Start(); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: coordinator %s: spawn worker %d: %v\n", id, i, err)
-				return 1
-			}
-			kids = append(kids, kid)
-		}
-	}
-	reap := func() {
-		for _, kid := range kids {
-			if err := kid.Wait(); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: coordinator %s: worker %d: %v\n",
-					id, kid.Process.Pid, err)
-			}
-		}
-	}
-
-	res, err := fabric.RunCoordinator(ctx, cfg)
-	switch {
-	case err == nil:
-		// done marker is published; workers will see it and exit.
-	case errors.Is(err, fabric.ErrCoordinatorHeld):
-		fmt.Fprintf(os.Stderr, "experiments: coordinator %s: %v\n", id, err)
-		reap()
-		return 5
-	case errors.Is(err, context.DeadlineExceeded):
-		fmt.Fprintf(os.Stderr, "experiments: coordinator %s: deadline exceeded; completed units are flushed in %s\n", id, store.Dir())
-		reap()
-		return 4
-	case errors.Is(err, context.Canceled):
-		fmt.Fprintf(os.Stderr, "experiments: coordinator %s: interrupted; completed units are flushed in %s\n", id, store.Dir())
-		reap()
-		return 3
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: coordinator %s: %v\n", id, err)
-		reap()
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "experiments: coordinator %s: epoch %d, %d dispatched (%d re-dispatched, %d aborted-first)\n",
-		id, res.Epoch, res.Dispatched, res.Redispatched, res.AbortedFirst)
-	reap()
-
-	// Every unit is checkpointed: render by restoring from the shared store.
-	e, ok := experiments.ByName(name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: coordinator %s: unknown experiment %q\n", id, name)
-		return 1
-	}
-	scR := sc
-	scR.Checkpoint = store
-	scR.Resume = true
-	scR.Track = nil
-	t, err := e.Run(ctx, scR)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: coordinator %s: render: %v\n", id, err)
-		return 1
-	}
-	fmt.Println(t)
 	return 0
 }

@@ -10,7 +10,8 @@
 //	rfattack -attack primeprobe -l1kind newcache
 //	rfattack -attack evicttime
 //
-// Exit codes: 0 success; 1 error; 3 interrupted by SIGINT/SIGTERM — the
+// Exit codes: 0 success; 1 error; 2 usage error (unknown -attack or
+// -l1kind, malformed -window, -batch ≤ 0); 3 interrupted by SIGINT/SIGTERM — the
 // collision attacks stop at the next batch boundary and report the partial
 // result first; the other attacks exit without results. A second signal
 // exits immediately (130).
@@ -57,7 +58,18 @@ func main() {
 
 	w, err := parseWindow(*window)
 	if err != nil {
-		fatal(err)
+		usage(err)
+	}
+	switch *attack {
+	case "collision", "collision-first", "flushreload", "primeprobe", "evicttime", "modexp":
+	default:
+		usage(fmt.Errorf("unknown attack %q", *attack))
+	}
+	if *l1kind != "sa" && *l1kind != "newcache" {
+		usage(fmt.Errorf("unknown l1kind %q (want sa or newcache)", *l1kind))
+	}
+	if *batch <= 0 {
+		usage(fmt.Errorf("-batch %d: want > 0", *batch))
 	}
 
 	// The collision search checks its ctx at every batch boundary, so the
@@ -93,8 +105,6 @@ func main() {
 		runEvictTime(w, *l1kind, *samples, *seed)
 	case "modexp":
 		runModexpSpy(w, *l1kind, *seed)
-	default:
-		fatal(fmt.Errorf("unknown attack %q", *attack))
 	}
 }
 
@@ -130,11 +140,8 @@ func mkCache(l1kind string) func(src *rng.Source) cache.Cache {
 		return func(src *rng.Source) cache.Cache {
 			return cache.NewSetAssoc(cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}, cache.LRU{})
 		}
-	case "newcache":
+	default: // "newcache"; main validated -l1kind
 		return func(src *rng.Source) cache.Cache { return newcache.New(32*1024, 4, src) }
-	default:
-		fatal(fmt.Errorf("unknown l1kind %q", l1kind))
-		return nil
 	}
 }
 
@@ -246,4 +253,10 @@ func parseWindow(s string) (rng.Window, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rfattack:", err)
 	os.Exit(1)
+}
+
+// usage reports a flag error on one line and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "rfattack:", err)
+	os.Exit(2)
 }

@@ -10,6 +10,8 @@
 //	rfsim -workload sjeng -l1 8192 -ways 1 -mode disable
 //	rfsim -workload aes -design scattercache        # registry design by name
 //	rfsim -workload aes -design randfill            # SA + the paper's window
+//
+// Exit codes: 0 success; 1 error; 2 invalid L1 or L3 geometry.
 package main
 
 import (
@@ -101,6 +103,14 @@ func main() {
 		}
 	} else if !w3.Zero() {
 		fatal(fmt.Errorf("-l3window requires -l3"))
+	}
+	if err := cfg.L1.Validate(); err != nil {
+		usage(fmt.Errorf("L1 (-l1 %d -ways %d): %v", *l1size, *ways, err))
+	}
+	if *l3size > 0 {
+		if err := cfg.Levels[1].Geom.Validate(); err != nil {
+			usage(fmt.Errorf("L3 (-l3 %d -l3ways %d): %v", *l3size, *l3ways, err))
+		}
 	}
 
 	tc := sim.ThreadConfig{}
@@ -230,4 +240,10 @@ func buildTrace(name string, n, bytes int, seed uint64) (mem.Trace, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rfsim:", err)
 	os.Exit(1)
+}
+
+// usage reports a flag error on one line and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "rfsim:", err)
+	os.Exit(2)
 }

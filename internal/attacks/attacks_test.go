@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"randfill/internal/infotheory"
 	"randfill/internal/mem"
 	"randfill/internal/newcache"
+	"randfill/internal/parexp"
 	"randfill/internal/rng"
 	"randfill/internal/sim"
 )
@@ -373,6 +375,20 @@ func TestCollectAllocFree(t *testing.T) {
 			a.Collect(1)
 		}); got != 0 {
 			t.Errorf("round %d: Collect: %v allocs/op, want 0", round, got)
+		}
+	}
+}
+
+// TestSearchRejectsNonPositiveBatch: a batch that cannot advance the sample
+// count is an error from both searches, not an endless loop.
+func TestSearchRejectsNonPositiveBatch(t *testing.T) {
+	cfg := CollisionConfig{Sim: attackerSim(), Seed: 1}
+	for _, batch := range []int{0, -1} {
+		if _, err := MeasurementsToSuccessCtx(context.Background(), cfg, batch, 1000); err == nil {
+			t.Errorf("serial search accepted batch %d", batch)
+		}
+		if _, err := MeasurementsToSuccessShardedCtx(context.Background(), parexp.New(1), cfg, batch, 1000, 2); err == nil {
+			t.Errorf("sharded search accepted batch %d", batch)
 		}
 	}
 }

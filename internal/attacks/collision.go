@@ -384,10 +384,22 @@ type SearchResult struct {
 
 // MeasurementsToSuccess collects samples in batches until the attack
 // recovers every XOR relation or maxSamples is reached — the procedure
-// behind Table III's "# measurements" row.
+// behind Table III's "# measurements" row. It panics if batch ≤ 0.
 func MeasurementsToSuccess(cfg CollisionConfig, batch, maxSamples int) SearchResult {
-	res, _ := MeasurementsToSuccessCtx(context.Background(), cfg, batch, maxSamples)
+	res, err := MeasurementsToSuccessCtx(context.Background(), cfg, batch, maxSamples)
+	if err != nil {
+		panic(err)
+	}
 	return res
+}
+
+// checkBatch rejects a search batch that could never advance the sample
+// count.
+func checkBatch(batch int) error {
+	if batch <= 0 {
+		return fmt.Errorf("attacks: search batch %d: want > 0", batch)
+	}
+	return nil
 }
 
 // MeasurementsToSuccessCtx is MeasurementsToSuccess with cooperative
@@ -395,8 +407,12 @@ func MeasurementsToSuccess(cfg CollisionConfig, batch, maxSamples int) SearchRes
 // serial search still returns the partial result alongside ctx's error, so
 // an interactive caller (rfattack) can report how far the attack got before
 // the interrupt; batches already collected are reflected in the result. The
-// returned error is nil iff the search ran to completion or success.
+// returned error is nil iff the search ran to completion or success; a
+// batch ≤ 0 is an error before any sample is collected.
 func MeasurementsToSuccessCtx(ctx context.Context, cfg CollisionConfig, batch, maxSamples int) (SearchResult, error) {
+	if err := checkBatch(batch); err != nil {
+		return SearchResult{}, err
+	}
 	a := NewCollision(cfg)
 	best := 0
 	for a.Samples() < uint64(maxSamples) {

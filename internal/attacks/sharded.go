@@ -118,8 +118,11 @@ func CollectSharded(eng *parexp.Engine, cfg CollisionConfig, total, shards int) 
 // cancelled search returns ctx's error and no result. The search's
 // round-by-round early exit is why it checkpoints as one unit rather than
 // per shard: a shard's stopping point depends on every other shard's
-// measurements at each round boundary.
+// measurements at each round boundary. A batch ≤ 0 is an error.
 func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cfg CollisionConfig, batch, maxSamples, shards int) (SearchResult, error) {
+	if err := checkBatch(batch); err != nil {
+		return SearchResult{}, err
+	}
 	atks := NewShards(cfg, shards)
 	best := 0
 	collected := 0

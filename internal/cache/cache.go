@@ -147,24 +147,32 @@ func (g Geometry) Sets() int {
 	return lines / g.Ways
 }
 
-// ValidateGeometry checks g the way NewSetAssoc does — size a positive
-// line multiple, lines divisible into ways, power-of-two set count — and
-// panics with the same diagnostics on violation. Design packages that
-// manage their own line arrays (PLcache, RPcache, NoMo) call it instead of
-// constructing a throwaway SetAssoc just to trigger the checks.
+// Validate checks g the way NewSetAssoc does — size a positive line
+// multiple, lines divisible into ways, power-of-two set count — and
+// returns the first violation. Front ends call it on user input before
+// building a cache.
+func (g Geometry) Validate() error {
+	lines := g.SizeBytes / mem.LineSize
+	if g.SizeBytes <= 0 || g.SizeBytes%mem.LineSize != 0 {
+		return fmt.Errorf("cache: size %d not a positive multiple of line size", g.SizeBytes)
+	}
+	if g.Ways <= 0 || lines%g.Ways != 0 {
+		return fmt.Errorf("cache: %d lines not divisible into %d ways", lines, g.Ways)
+	}
+	if sets := lines / g.Ways; sets&(sets-1) != 0 {
+		return fmt.Errorf("cache: set count %d not a power of two", sets)
+	}
+	return nil
+}
+
+// ValidateGeometry is Validate that panics on violation. Design packages
+// that manage their own line arrays (PLcache, RPcache, NoMo) call it
+// instead of constructing a throwaway SetAssoc just to trigger the checks.
 func ValidateGeometry(g Geometry) { g.check() }
 
 func (g Geometry) check() {
-	lines := g.SizeBytes / mem.LineSize
-	if g.SizeBytes <= 0 || g.SizeBytes%mem.LineSize != 0 {
-		panic(fmt.Sprintf("cache: size %d not a positive multiple of line size", g.SizeBytes))
-	}
-	if g.Ways <= 0 || lines%g.Ways != 0 {
-		panic(fmt.Sprintf("cache: %d lines not divisible into %d ways", lines, g.Ways))
-	}
-	sets := lines / g.Ways
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
+	if err := g.Validate(); err != nil {
+		panic(err.Error())
 	}
 }
 

@@ -263,14 +263,25 @@ func TestGeometryValidation(t *testing.T) {
 		{SizeBytes: 64 * 12, Ways: 12}, // ok sets=1? 12 lines /12 ways =1 set: valid actually
 	}
 	for _, g := range bad[:4] {
+		if g.Validate() == nil {
+			t.Errorf("geometry %+v validated", g)
+		}
 		func() {
 			defer func() { recover() }()
 			NewSetAssoc(g, LRU{})
 			t.Errorf("geometry %+v did not panic", g)
 		}()
 	}
+	for _, g := range []Geometry{{SizeBytes: 0, Ways: 0}, {SizeBytes: 512, Ways: -1}} {
+		if g.Validate() == nil {
+			t.Errorf("geometry %+v validated", g)
+		}
+	}
 	// Fully associative single set is legal.
-	NewSetAssoc(Geometry{SizeBytes: 64 * 12, Ways: 12}, LRU{})
+	if err := bad[4].Validate(); err != nil {
+		t.Errorf("fully associative geometry rejected: %v", err)
+	}
+	NewSetAssoc(bad[4], LRU{})
 }
 
 func TestGeometryString(t *testing.T) {

@@ -100,9 +100,8 @@ func (s *Store) Dir() string { return s.dir }
 // FileBase is the shard's canonical file-name stem, without directory or
 // extension. The config hash is part of the name, so checkpoints from a
 // different configuration of the same experiment coexist without ever being
-// confused for each other. The fabric layer reuses the same stem for a
-// unit's lease and aborted-marker files, so every per-unit artifact of one
-// run sorts and greps together.
+// confused for each other, and every shard of one run sorts and greps
+// together.
 func (m Meta) FileBase() string {
 	return fmt.Sprintf("%s-s%03d-%016x", sanitize(m.Experiment), m.Shard, m.ConfigHash)
 }
@@ -262,8 +261,7 @@ const (
 	// ScanComplete: the file's frame and CRC verify; Meta is trustworthy.
 	ScanComplete ScanState = iota
 	// ScanTorn: the file fails magic/framing/CRC verification — a torn or
-	// corrupted write. Get would report it as missing; the coordinator
-	// schedules the unit as incomplete.
+	// corrupted write. Get reports it as missing, so the unit re-runs.
 	ScanTorn
 )
 
@@ -284,27 +282,11 @@ type ScanEntry struct {
 	State ScanState
 }
 
-// Foreign reports whether a complete entry belongs to a different
-// configuration than want — same directory, but a different experiment,
-// config hash, seed, or RNG stream version. Foreign entries are never
-// loaded for want's run; they are surfaced so a coordinator can tell
-// "done", "torn", and "someone else's" apart when it inventories a shared
-// directory.
-func (e ScanEntry) Foreign(want Meta) bool {
-	if e.State != ScanComplete {
-		return false
-	}
-	return e.Meta.Experiment != want.Experiment ||
-		e.Meta.ConfigHash != want.ConfigHash ||
-		e.Meta.StreamVersion != want.StreamVersion
-}
-
 // Scan inventories every checkpoint file in the store directory, in sorted
 // file-name order: complete entries carry their verified Meta, torn ones are
 // reported as ScanTorn. It is the one shared answer to "which units does
-// this directory actually hold" — the coordinator's dispatch loop, the
-// crash-resume suite, and the join merge all consume it instead of globbing
-// the directory by hand.
+// this directory actually hold": Join and the crash-resume suite both
+// consume it instead of globbing the directory by hand.
 func (s *Store) Scan() ([]ScanEntry, error) {
 	names, err := filepath.Glob(filepath.Join(s.dir, "*.ckpt"))
 	if err != nil {
@@ -328,27 +310,6 @@ func (s *Store) Scan() ([]ScanEntry, error) {
 		entries = append(entries, ScanEntry{Path: name, Meta: m, State: ScanComplete})
 	}
 	return entries, nil
-}
-
-// Complete reports, for each wanted Meta, whether the store holds a
-// verifying checkpoint for exactly that identity. It is Scan folded against
-// a unit plan — what a coordinator asks before dispatching work.
-func (s *Store) Complete(metas []Meta) ([]bool, error) {
-	entries, err := s.Scan()
-	if err != nil {
-		return nil, err
-	}
-	have := make(map[Meta]bool, len(entries))
-	for _, e := range entries {
-		if e.State == ScanComplete {
-			have[e.Meta] = true
-		}
-	}
-	out := make([]bool, len(metas))
-	for i, m := range metas {
-		out[i] = have[m]
-	}
-	return out, nil
 }
 
 // Verify checks a raw checkpoint frame (a whole file's bytes) and returns
@@ -401,6 +362,61 @@ func (s *Store) AdoptFrame(data []byte) (Meta, AdoptResult, error) {
 		return m, RejectedTorn, fmt.Errorf("checkpoint: adopt %s shard %d: %w", m.Experiment, m.Shard, err)
 	}
 	return m, Adopted, nil
+}
+
+// JoinReport summarizes a Join.
+type JoinReport struct {
+	// Adopted counts frames copied into the store.
+	Adopted int
+	// AlreadyPresent counts frames the store already held byte-identically.
+	AlreadyPresent int
+	// TornSkipped counts source files skipped as torn or corrupt.
+	TornSkipped int
+}
+
+// Join merges every complete checkpoint found in the srcDirs stores into s
+// through AdoptFrame. Frames are adopted verbatim, so joining any set of
+// partial runs of one configuration reproduces exactly the store a single
+// run would have written, and with it a byte-identical table through the
+// resume path. Torn source files are counted and skipped; two verifying
+// frames with the same identity but different bytes abort the join, since
+// that is a purity violation, not something to merge silently.
+func (s *Store) Join(srcDirs []string) (JoinReport, error) {
+	var rep JoinReport
+	for _, dir := range srcDirs {
+		if _, err := os.Stat(dir); err != nil {
+			return rep, fmt.Errorf("checkpoint: join source: %w", err)
+		}
+		src, err := Open(dir)
+		if err != nil {
+			return rep, err
+		}
+		entries, err := src.Scan()
+		if err != nil {
+			return rep, err
+		}
+		for _, e := range entries {
+			if e.State != ScanComplete {
+				rep.TornSkipped++
+				continue
+			}
+			data, err := os.ReadFile(e.Path)
+			if err != nil {
+				return rep, fmt.Errorf("checkpoint: join: %w", err)
+			}
+			_, result, err := s.AdoptFrame(data)
+			if err != nil {
+				return rep, fmt.Errorf("checkpoint: join %s: %w", e.Path, err)
+			}
+			switch result {
+			case Adopted:
+				rep.Adopted++
+			case AlreadyPresent:
+				rep.AlreadyPresent++
+			}
+		}
+	}
+	return rep, nil
 }
 
 // Hash fingerprints a configuration as FNV-1a over its canonical string

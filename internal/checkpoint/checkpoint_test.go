@@ -196,7 +196,7 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 
 // TestScanInventoriesCompleteAndTorn: Scan classifies every *.ckpt file in
 // the directory — verified frames carry their Meta, torn frames are
-// reported (not hidden) so a coordinator can count lost work.
+// reported (not hidden) so Join can count lost work.
 func TestScanInventoriesCompleteAndTorn(t *testing.T) {
 	dir := t.TempDir()
 	st, err := checkpoint.Open(dir)
@@ -244,67 +244,6 @@ func TestScanInventoriesCompleteAndTorn(t *testing.T) {
 	}
 	if complete != 1 || torn != 1 {
 		t.Fatalf("complete=%d torn=%d, want 1/1", complete, torn)
-	}
-}
-
-// TestScanForeign: an entry recorded under a different config hash verifies
-// (it is a real checkpoint) but is foreign to this run's identity.
-func TestScanForeign(t *testing.T) {
-	st, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mine := testMeta()
-	other := mine
-	other.ConfigHash = checkpoint.Hash("full", "seed=2")
-	if err := st.Put(other, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := st.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].State != checkpoint.ScanComplete {
-		t.Fatalf("entries = %+v, want one complete", entries)
-	}
-	if !entries[0].Foreign(mine) {
-		t.Error("different-config entry not classified foreign")
-	}
-	if entries[0].Foreign(other) {
-		t.Error("own entry classified foreign")
-	}
-}
-
-// TestComplete folds Scan against a unit plan: only exact-identity,
-// verifying checkpoints count as done.
-func TestComplete(t *testing.T) {
-	st, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	metas := make([]checkpoint.Meta, 4)
-	for i := range metas {
-		metas[i] = testMeta()
-		metas[i].Shard = i
-	}
-	if err := st.Put(metas[1], []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(metas[2], []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(st.Path(metas[2]), 3); err != nil {
-		t.Fatal(err)
-	}
-	done, err := st.Complete(metas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{false, true, false, false}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Errorf("Complete[%d] = %v, want %v", i, done[i], want[i])
-		}
 	}
 }
 
@@ -370,8 +309,8 @@ func TestAdoptFrame(t *testing.T) {
 	}
 }
 
-// TestFileBaseSharedStem pins that checkpoint, lease, and abort artifacts
-// can share one per-unit stem: Path is FileBase + ".ckpt".
+// TestFileBaseSharedStem pins that a checkpoint's file name is its
+// per-unit stem plus the extension: Path is FileBase + ".ckpt".
 func TestFileBaseSharedStem(t *testing.T) {
 	st, err := checkpoint.Open(t.TempDir())
 	if err != nil {
@@ -380,5 +319,71 @@ func TestFileBaseSharedStem(t *testing.T) {
 	m := testMeta()
 	if got, want := filepath.Base(st.Path(m)), m.FileBase()+".ckpt"; got != want {
 		t.Fatalf("Path base %q, want %q", got, want)
+	}
+}
+
+// TestJoinMergesPartialRuns: two overlapping partial stores (one holding a
+// torn file) merge into the exact store a full run writes; a source with
+// different bytes for an identity the destination holds aborts the join.
+func TestJoinMergesPartialRuns(t *testing.T) {
+	const units = 4
+	meta := func(i int) checkpoint.Meta {
+		m := testMeta()
+		m.Shard = i
+		return m
+	}
+	payload := func(i int) []byte { return []byte{byte(i), 0xa5, byte(3 * i)} }
+	open := func() *checkpoint.Store {
+		st, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	put := func(st *checkpoint.Store, from, to int) {
+		for i := from; i < to; i++ {
+			if err := st.Put(meta(i), payload(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	full := open()
+	put(full, 0, units)
+	// Partial run A has units 0..2, partial run B has 2..3 (unit 2 overlaps).
+	a, b := open(), open()
+	put(a, 0, 3)
+	put(b, 2, units)
+	// A torn file in B must be skipped, not adopted.
+	if err := os.WriteFile(filepath.Join(b.Dir(), "torn.ckpt"), []byte("shred"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := open()
+	rep, err := dst.Join([]string{a.Dir(), b.Dir()})
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if rep.Adopted != units || rep.AlreadyPresent != 1 || rep.TornSkipped != 1 {
+		t.Errorf("report = %+v, want %d adopted, 1 already present, 1 torn skipped", rep, units)
+	}
+	for i := 0; i < units; i++ {
+		want, _ := os.ReadFile(full.Path(meta(i)))
+		got, err := os.ReadFile(dst.Path(meta(i)))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("unit %d: joined store differs from full run (err=%v)", i, err)
+		}
+	}
+
+	// Conflict: same identity, different verified bytes.
+	evil := open()
+	if err := evil.Put(meta(0), []byte("divergent")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Join([]string{evil.Dir()}); err == nil {
+		t.Fatal("conflicting join did not fail")
+	}
+	if _, err := dst.Join([]string{filepath.Join(t.TempDir(), "absent")}); err == nil {
+		t.Fatal("join from a missing directory did not fail")
 	}
 }

@@ -115,10 +115,16 @@ type Scale struct {
 	// hash, RNG stream version) refuse units recorded under any other
 	// configuration.
 	Resume bool
+	// Units restricts the resumable experiments to one static partition of
+	// their work units (see Partition). A proper partition flushes its
+	// units to Checkpoint and returns ErrPartial instead of a table. Like
+	// Workers it is excluded from the config hash, so every partition
+	// writes the same unit identities.
+	Units Partition
 	// Track, when non-nil, observes each executed work unit starting
-	// (done=false) and durably finishing (done=true). cmd/experiments wires
-	// it to the in-flight tracker behind the hard-kill aborted markers; it
-	// never influences results and is excluded from the config hash.
+	// (done=false) and durably finishing (done=true). perfbench's span
+	// recorder uses it; it never influences results and is excluded from
+	// the config hash.
 	Track func(m checkpoint.Meta, done bool)
 }
 
@@ -158,16 +164,17 @@ func QuickScale() Scale {
 
 // Experiment is a registry entry. Run honors cooperative cancellation: a
 // cancelled or expired ctx stops the experiment between work units and
-// surfaces ctx's error. The resumable experiments (Figure2, Table3,
-// MissQueueSecurity, OccupancyMatrix, PolicyMatrix — the long-running attack
-// searches and sweeps) additionally honor Scale.Checkpoint and Scale.Resume;
-// the rest
-// check ctx at unit boundaries only and never touch the checkpoint store.
+// surfaces ctx's error.
 type Experiment struct {
 	Name string
 	// What the experiment reproduces.
 	Description string
 	Run         func(ctx context.Context, sc Scale) (*Table, error)
+	// Resumable marks the long-running attack searches and sweeps whose
+	// Run goes through runShards and so honors Scale.Checkpoint, Resume
+	// and Units. The rest check ctx at unit boundaries only and never
+	// touch the checkpoint store.
+	Resumable bool
 }
 
 // plain adapts a non-resumable experiment to the registry's context-aware
@@ -185,30 +192,30 @@ func plain(f func(Scale) *Table) func(context.Context, Scale) (*Table, error) {
 // All returns the experiment registry in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"Figure2", "final-round collision attack timing characteristic chart", Figure2Ctx},
-		{"Table3", "P1-P2 and measurements-to-success vs window size", Table3Ctx},
-		{"Figure5", "storage channel capacity vs window size", plain(func(Scale) *Table { return Figure5() })},
-		{"Figure6", "AES-CBC IPC across cache geometries and defenses", plain(Figure6)},
-		{"Figure7", "AES-CBC IPC vs random fill window size", plain(Figure7)},
-		{"Figure8", "SMT co-run throughput of SPEC-like programs next to AES", plain(Figure8)},
-		{"Figure9", "spatial locality profiles Eff(d)", plain(Figure9)},
-		{"Figure10", "L1 MPKI and IPC vs random fill window per benchmark", plain(Figure10)},
-		{"Traffic", "L2/memory traffic increase for streaming benchmarks", plain(Traffic)},
-		{"Prefetch", "tagged prefetcher vs random fill on streaming benchmarks", plain(PrefetchComparison)},
-		{"Defenses", "defense matrix: cache architectures vs attack classes (Section VIII)", plain(DefenseMatrix)},
-		{"AblationWindowShape", "window direction: security signal vs streaming speedup", plain(AblationWindowShape)},
-		{"AblationFillQueue", "random fill queue depth", plain(AblationFillQueue)},
-		{"AblationMissQueue", "miss queue (MSHR) entries", plain(AblationMissQueue)},
-		{"AblationDropOnHit", "drop-if-present tag check", plain(AblationDropOnHit)},
-		{"AblationL2RandomFill", "random fill at L1 only vs L1+L2", plain(AblationL2RandomFill)},
-		{"Hierarchy3", "3-level hierarchy: which levels run random fill", plain(Hierarchy3)},
-		{"ConstantTime", "constant-time defenses vs random fill on AES", plain(ConstantTime)},
-		{"InformingDoS", "informing-loads DoS amplification under an evicting co-runner", plain(InformingDoS)},
-		{"AdaptiveWindow", "phase-adaptive window selection (the paper's future work)", plain(AdaptiveWindow)},
-		{"Equation4", "analytical timing-channel model vs simulator (Eq. 4)", plain(Equation4)},
-		{"MissQueueSecurity", "miss queue size vs collision attack cost (Section V.A)", MissQueueSecurityCtx},
-		{"OccupancyMatrix", "security x performance matrix: reuse and occupancy channels per secure cache design", OccupancyMatrixCtx},
-		{"PolicyMatrix", "replacement policy x design sweep: reuse/occupancy channels and AES IPC/MPKI per pair", PolicyMatrixCtx},
+		{"Figure2", "final-round collision attack timing characteristic chart", Figure2Ctx, true},
+		{"Table3", "P1-P2 and measurements-to-success vs window size", Table3Ctx, true},
+		{"Figure5", "storage channel capacity vs window size", plain(func(Scale) *Table { return Figure5() }), false},
+		{"Figure6", "AES-CBC IPC across cache geometries and defenses", plain(Figure6), false},
+		{"Figure7", "AES-CBC IPC vs random fill window size", plain(Figure7), false},
+		{"Figure8", "SMT co-run throughput of SPEC-like programs next to AES", plain(Figure8), false},
+		{"Figure9", "spatial locality profiles Eff(d)", plain(Figure9), false},
+		{"Figure10", "L1 MPKI and IPC vs random fill window per benchmark", plain(Figure10), false},
+		{"Traffic", "L2/memory traffic increase for streaming benchmarks", plain(Traffic), false},
+		{"Prefetch", "tagged prefetcher vs random fill on streaming benchmarks", plain(PrefetchComparison), false},
+		{"Defenses", "defense matrix: cache architectures vs attack classes (Section VIII)", plain(DefenseMatrix), false},
+		{"AblationWindowShape", "window direction: security signal vs streaming speedup", plain(AblationWindowShape), false},
+		{"AblationFillQueue", "random fill queue depth", plain(AblationFillQueue), false},
+		{"AblationMissQueue", "miss queue (MSHR) entries", plain(AblationMissQueue), false},
+		{"AblationDropOnHit", "drop-if-present tag check", plain(AblationDropOnHit), false},
+		{"AblationL2RandomFill", "random fill at L1 only vs L1+L2", plain(AblationL2RandomFill), false},
+		{"Hierarchy3", "3-level hierarchy: which levels run random fill", plain(Hierarchy3), false},
+		{"ConstantTime", "constant-time defenses vs random fill on AES", plain(ConstantTime), false},
+		{"InformingDoS", "informing-loads DoS amplification under an evicting co-runner", plain(InformingDoS), false},
+		{"AdaptiveWindow", "phase-adaptive window selection (the paper's future work)", plain(AdaptiveWindow), false},
+		{"Equation4", "analytical timing-channel model vs simulator (Eq. 4)", plain(Equation4), false},
+		{"MissQueueSecurity", "miss queue size vs collision attack cost (Section V.A)", MissQueueSecurityCtx, true},
+		{"OccupancyMatrix", "security x performance matrix: reuse and occupancy channels per secure cache design", OccupancyMatrixCtx, true},
+		{"PolicyMatrix", "replacement policy x design sweep: reuse/occupancy channels and AES IPC/MPKI per pair", PolicyMatrixCtx, true},
 	}
 }
 

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"randfill/internal/checkpoint"
@@ -12,9 +14,10 @@ import (
 
 // configHash binds a checkpoint to everything that determines a shard's
 // bytes: the experiment, every budget knob, the master seed, the fixed
-// shard count, and the RNG stream version. Workers is deliberately absent —
-// worker-count invariance means a run checkpointed at -workers 8 may resume
-// at -workers 1 and still reproduce the uninterrupted output exactly.
+// shard count, and the RNG stream version. Workers and Units are
+// deliberately absent — worker-count invariance means a run checkpointed at
+// -workers 8 may resume at -workers 1 and still reproduce the uninterrupted
+// output exactly, and every partition writes the same unit identities.
 func (sc Scale) configHash(exp string) uint64 {
 	return checkpoint.Hash(
 		exp,
@@ -31,10 +34,9 @@ func (sc Scale) configHash(exp string) uint64 {
 }
 
 // unitPlan is one resumable experiment's fixed work-unit plan: n units,
-// each a pure function of (Scale, i) with an exact binary codec. It is the
-// single description behind both execution paths — the in-process runShards
-// driver and, type-erased through PlanFor, the multi-process fabric — so a
-// unit computes identical bytes no matter which path ran it.
+// each a pure function of (Scale, i) with an exact binary codec. runShards
+// is its only driver, so a unit computes identical bytes no matter which
+// process, partition, or worker count ran it.
 type unitPlan[T any] struct {
 	exp       string
 	n         int
@@ -55,6 +57,38 @@ func (p unitPlan[T]) meta(sc Scale, hash uint64, i int) checkpoint.Meta {
 	}
 }
 
+// ErrPartial is returned (wrapped, with a count of what ran) by a resumable
+// experiment whose Scale.Units selects a proper partition: the partition's
+// units are flushed to Scale.Checkpoint, the rest belong to other
+// partitions, so there is no table to render. A later -resume or -join run
+// over the shared store renders it.
+var ErrPartial = errors.New("partial run")
+
+// Partition is a static share of a resumable experiment's work units: unit
+// i belongs to partition K of N when i % N == K. The zero value (and any
+// N ≤ 1) is the whole plan. N processes running partitions 0..N-1 over one
+// store, or over N stores merged with -join, cover every unit exactly once.
+type Partition struct{ K, N int }
+
+// ParsePartition parses "k/N" with 0 ≤ k < N.
+func ParsePartition(s string) (Partition, error) {
+	ks, ns, ok := strings.Cut(s, "/")
+	k, kerr := strconv.Atoi(ks)
+	n, nerr := strconv.Atoi(ns)
+	if !ok || kerr != nil || nerr != nil || n <= 0 || k < 0 || k >= n {
+		return Partition{}, fmt.Errorf("partition %q: want k/N with 0 <= k < N", s)
+	}
+	return Partition{K: k, N: n}, nil
+}
+
+// Whole reports whether p selects every unit.
+func (p Partition) Whole() bool { return p.N <= 1 }
+
+// Has reports whether unit i belongs to p.
+func (p Partition) Has(i int) bool { return p.Whole() || i%p.N == p.K }
+
+func (p Partition) String() string { return fmt.Sprintf("%d/%d", p.K, p.N) }
+
 // runShards executes a unitPlan's independent work units with optional
 // checkpointing, and is the primitive every resumable experiment is built
 // on. Unit i's result must be a pure function of (sc, i) — never of worker
@@ -70,9 +104,12 @@ func (p unitPlan[T]) meta(sc Scale, hash uint64, i int) checkpoint.Meta {
 // missing and the unit re-runs. Results are returned in unit order
 // regardless of which were restored.
 //
+// With sc.Units a proper partition, only the units it selects are restored
+// or run; after flushing them runShards returns an error wrapping
+// ErrPartial instead of results.
+//
 // sc.Track, when set, observes each executed unit starting and durably
-// finishing (restored units are never reported): the hook behind the
-// hard-kill path's best-effort aborted markers.
+// finishing (restored units are never reported).
 func runShards[T any](ctx context.Context, sc Scale, p unitPlan[T]) ([]T, error) {
 	hash := sc.configHash(p.exp)
 	meta := func(i int) checkpoint.Meta { return p.meta(sc, hash, i) }
@@ -81,6 +118,9 @@ func runShards[T any](ctx context.Context, sc Scale, p unitPlan[T]) ([]T, error)
 	restored := make([]bool, p.n)
 	if sc.Checkpoint != nil && sc.Resume {
 		for i := 0; i < p.n; i++ {
+			if !sc.Units.Has(i) {
+				continue
+			}
 			payload, ok, err := sc.Checkpoint.Get(meta(i))
 			if err != nil {
 				return nil, err
@@ -97,99 +137,47 @@ func runShards[T any](ctx context.Context, sc Scale, p unitPlan[T]) ([]T, error)
 		}
 	}
 	var missing []int
+	mine := 0
 	for i := 0; i < p.n; i++ {
-		if !restored[i] {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return out, nil
-	}
-	err := sc.engine().ForEachCtx(ctx, len(missing), func(ctx context.Context, k int) error {
-		i := missing[k]
-		if sc.Track != nil {
-			sc.Track(meta(i), false)
-		}
-		v, err := p.run(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		if sc.Checkpoint != nil {
-			data, err := p.marshal(v)
-			if err != nil {
-				return err
-			}
-			if err := sc.Checkpoint.Put(meta(i), data); err != nil {
-				return err
+		if sc.Units.Has(i) {
+			mine++
+			if !restored[i] {
+				missing = append(missing, i)
 			}
 		}
-		if sc.Track != nil {
-			sc.Track(meta(i), true)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
-}
-
-// WorkPlan is a type-erased unitPlan: the shape internal/fabric schedules
-// across processes. RunUnit executes one unit and publishes exactly one
-// checkpoint through store; it is the same computation runShards performs
-// for that unit, so a fabric run's store is byte-identical to a solo run's.
-type WorkPlan struct {
-	// Name is the experiment name as registered in All().
-	Name string
-	// Units is the number of independent work units.
-	Units int
-	// Meta returns unit i's checkpoint identity.
-	Meta func(i int) checkpoint.Meta
-	// RunUnit computes unit i and flushes it through store.
-	RunUnit func(ctx context.Context, i int, store *checkpoint.Store) error
-}
-
-// exportPlan type-erases a unitPlan for the fabric.
-func exportPlan[T any](sc Scale, p unitPlan[T]) WorkPlan {
-	hash := sc.configHash(p.exp)
-	meta := func(i int) checkpoint.Meta { return p.meta(sc, hash, i) }
-	return WorkPlan{
-		Name:  p.exp,
-		Units: p.n,
-		Meta:  meta,
-		RunUnit: func(ctx context.Context, i int, store *checkpoint.Store) error {
+	if len(missing) > 0 {
+		err := sc.engine().ForEachCtx(ctx, len(missing), func(ctx context.Context, k int) error {
+			i := missing[k]
+			if sc.Track != nil {
+				sc.Track(meta(i), false)
+			}
 			v, err := p.run(ctx, i)
 			if err != nil {
 				return err
 			}
-			data, err := p.marshal(v)
-			if err != nil {
-				return err
+			out[i] = v
+			if sc.Checkpoint != nil {
+				data, err := p.marshal(v)
+				if err != nil {
+					return err
+				}
+				if err := sc.Checkpoint.Put(meta(i), data); err != nil {
+					return err
+				}
 			}
-			return store.Put(meta(i), data)
-		},
+			if sc.Track != nil {
+				sc.Track(meta(i), true)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-}
-
-// PlanFor returns the named resumable experiment's work-unit plan under sc.
-// Only the resumable experiments (the ones whose registry entries honor
-// Scale.Checkpoint) have plans; ok is false for every other name. Every
-// process in a fabric derives the plan from the same (name, Scale), so
-// unit identities agree everywhere — a lease whose identity doesn't match
-// is foreign and is refused, not guessed at.
-func PlanFor(name string, sc Scale) (WorkPlan, bool) {
-	switch {
-	case strings.EqualFold(name, "Figure2"):
-		return exportPlan(sc, figure2Plan(sc)), true
-	case strings.EqualFold(name, "Table3"):
-		return exportPlan(sc, table3Plan(sc)), true
-	case strings.EqualFold(name, "MissQueueSecurity"):
-		return exportPlan(sc, missQueuePlan(sc)), true
-	case strings.EqualFold(name, "OccupancyMatrix"):
-		return exportPlan(sc, occupancyPlan(sc)), true
-	case strings.EqualFold(name, "PolicyMatrix"):
-		return exportPlan(sc, policyPlan(sc)), true
+	if !sc.Units.Whole() {
+		return nil, fmt.Errorf("%s units %v: %w: %d executed, %d already stored, %d left to other partitions",
+			p.exp, sc.Units, ErrPartial, len(missing), mine-len(missing), p.n-mine)
 	}
-	return WorkPlan{}, false
+	return out, nil
 }

@@ -1,5 +1,5 @@
 // Package faultinject is the deterministic fault harness behind the
-// crash-resume test suite. A Plan is parsed from a compact spec string and
+// crash-resume and static-partition subprocess suites. A Plan is parsed from a compact spec string and
 // hooks into the checkpoint store (checkpoint.Hooks), firing each fault at
 // an exactly reproducible point in the run — the Nth checkpoint write —
 // rather than at a wall-clock instant, so a "crash mid-run" is the same
@@ -14,22 +14,6 @@
 //	delay-put=2:250ms            sleep before publishing the 2nd Put, to
 //	                             push a shard past a -timeout deadline
 //	seed=7                       drives the corrupt-put bit choice
-//
-// Process-level clauses target a whole fabric worker rather than a single
-// checkpoint write; cmd/experiments wires them into the fabric hooks when
-// running with -role worker (or coordinator, for torn-lease/clock-skew):
-//
-//	kill-worker-after-units=2    exit(137) after the worker completes its
-//	                             2nd work unit — a whole-worker crash with
-//	                             its leases left to expire
-//	stall-worker=2:300ms         sleep before executing the worker's 2nd
-//	                             unit, long enough for the lease to expire
-//	                             and the unit to be re-dispatched
-//	torn-lease=3                 truncate the 3rd lease file this process
-//	                             publishes (dispatch, renewal, or heartbeat)
-//	clock-skew=150ms             run the process on a wall clock offset by
-//	                             the (possibly negative) duration, so its
-//	                             deadline arithmetic disagrees with peers
 //
 // Clauses combine with commas: "torn-put=1,kill-after-puts=2". Counters are
 // 1-based and count Puts process-wide in completion order; because the
@@ -77,23 +61,7 @@ type Plan struct {
 	// Seed drives the corrupt-put bit choice.
 	Seed uint64
 
-	// KillAfterUnits terminates a fabric worker after it completes that
-	// many work units (0 = never).
-	KillAfterUnits int
-	// StallUnit sleeps for Stall before the worker executes its Nth unit
-	// (0 = never).
-	StallUnit int
-	// Stall is the stall-worker duration.
-	Stall time.Duration
-	// TornLease truncates the Nth lease file this process publishes
-	// (0 = never).
-	TornLease int
-	// ClockSkew offsets the process's wall clock; the fabric's deadline
-	// checks then disagree with its peers' by this much.
-	ClockSkew time.Duration
-
-	puts        atomic.Int64
-	leaseWrites atomic.Int64
+	puts atomic.Int64
 	// exit is swapped out by tests; os.Exit in production.
 	exit func(code int)
 }
@@ -114,8 +82,7 @@ func Parse(spec string) (*Plan, error) {
 			return nil, fmt.Errorf("faultinject: clause %q: want key=value", clause)
 		}
 		switch key {
-		case "kill-after-puts", "fail-put", "torn-put", "corrupt-put", "seed",
-			"kill-worker-after-units", "torn-lease":
+		case "kill-after-puts", "fail-put", "torn-put", "corrupt-put", "seed":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("faultinject: %s=%q: want a non-negative integer", key, val)
@@ -131,31 +98,7 @@ func Parse(spec string) (*Plan, error) {
 				p.CorruptPut = n
 			case "seed":
 				p.Seed = uint64(n)
-			case "kill-worker-after-units":
-				p.KillAfterUnits = n
-			case "torn-lease":
-				p.TornLease = n
 			}
-		case "stall-worker":
-			nth, durStr, ok := strings.Cut(val, ":")
-			if !ok {
-				return nil, fmt.Errorf("faultinject: stall-worker=%q: want N:duration", val)
-			}
-			n, err := strconv.Atoi(nth)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("faultinject: stall-worker=%q: bad unit index", val)
-			}
-			d, err := time.ParseDuration(durStr)
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: stall-worker=%q: %v", val, err)
-			}
-			p.StallUnit, p.Stall = n, d
-		case "clock-skew":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: clock-skew=%q: %v", val, err)
-			}
-			p.ClockSkew = d
 		case "delay-put":
 			nth, durStr, ok := strings.Cut(val, ":")
 			if !ok {
@@ -210,42 +153,6 @@ func (p *Plan) AfterPut(m checkpoint.Meta, path string) {
 
 // Puts returns the number of Put attempts observed so far.
 func (p *Plan) Puts() int { return int(p.puts.Load()) }
-
-// StallBeforeUnit is the stall-worker fault, wired to the fabric worker's
-// BeforeUnit hook: it sleeps before the worker executes its Nth claimed
-// unit, with renewals not yet running — the lease ages out naturally and
-// the coordinator re-dispatches the unit while this worker is asleep.
-func (p *Plan) StallBeforeUnit(n int) {
-	if p.StallUnit == n && p.Stall > 0 {
-		fmt.Fprintf(os.Stderr, "faultinject: stalling worker for %v before unit %d\n", p.Stall, n)
-		time.Sleep(p.Stall)
-	}
-}
-
-// KillAfterUnit is the kill-worker-after-units fault, wired to the fabric
-// worker's AfterUnit hook: the process dies with KillExitCode after
-// durably completing its Nth unit, leaving its remaining leases to expire.
-func (p *Plan) KillAfterUnit(n int) {
-	if p.KillAfterUnits > 0 && n >= p.KillAfterUnits {
-		fmt.Fprintf(os.Stderr, "faultinject: killing worker after %d completed units\n", n)
-		p.exit(KillExitCode)
-	}
-}
-
-// AfterLeaseWrite is the torn-lease fault, wired to the fabric's
-// post-publish lease hook: the Nth lease file this process writes
-// (dispatch, renewal, or heartbeat) is truncated in place. The fabric must
-// read it as absent and recover by re-leasing.
-func (p *Plan) AfterLeaseWrite(path string) {
-	n := int(p.leaseWrites.Add(1))
-	if p.TornLease == n {
-		fmt.Fprintf(os.Stderr, "faultinject: tearing lease write %d (%s)\n", n, path)
-		p.tear(path)
-	}
-}
-
-// LeaseWrites returns the number of lease publishes observed so far.
-func (p *Plan) LeaseWrites() int { return int(p.leaseWrites.Load()) }
 
 // tear truncates the published checkpoint to half its size, the on-disk
 // shape of a write interrupted between temp-file creation and completion

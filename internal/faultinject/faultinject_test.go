@@ -1,8 +1,6 @@
 package faultinject
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -152,93 +150,15 @@ func TestDamageIsBestEffortOnMissingFile(t *testing.T) {
 	p.tear("/nonexistent/file")
 }
 
-func TestParseProcessClauses(t *testing.T) {
-	p, err := Parse("kill-worker-after-units=2,stall-worker=1:300ms,torn-lease=3,clock-skew=-150ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.KillAfterUnits != 2 || p.StallUnit != 1 || p.Stall != 300*time.Millisecond {
-		t.Fatalf("parsed %+v", p)
-	}
-	if p.TornLease != 3 || p.ClockSkew != -150*time.Millisecond {
-		t.Fatalf("parsed %+v", p)
-	}
-}
-
+// TestParseProcessClauseErrors: faults act only at checkpoint writes, so
+// whole-process clauses are not part of the plan language and are rejected
+// rather than silently injecting nothing.
 func TestParseProcessClauseErrors(t *testing.T) {
 	for _, spec := range []string{
-		"kill-worker-after-units=x", "kill-worker-after-units=-1",
-		"stall-worker=1", "stall-worker=x:1s", "stall-worker=1:zz",
-		"torn-lease=x", "clock-skew=notadur",
+		"kill-worker-after-units=1", "stall-worker=1:1s", "torn-lease=1", "clock-skew=1s",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded", spec)
 		}
 	}
-}
-
-func TestKillAfterUnit(t *testing.T) {
-	p, err := Parse("kill-worker-after-units=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exited := -1
-	p.exit = func(code int) { exited = code }
-	p.KillAfterUnit(1)
-	if exited != -1 {
-		t.Fatalf("killed after 1 unit, want survive until 2")
-	}
-	p.KillAfterUnit(2)
-	if exited != KillExitCode {
-		t.Fatalf("exit code %d, want %d", exited, KillExitCode)
-	}
-}
-
-func TestAfterLeaseWriteTearsExactlyTheNth(t *testing.T) {
-	p, err := Parse("torn-lease=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	write := func(name string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte("0123456789abcdef"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	p1 := write("one.lease")
-	p.AfterLeaseWrite(p1)
-	p2 := write("two.lease")
-	p.AfterLeaseWrite(p2)
-	p3 := write("three.lease")
-	p.AfterLeaseWrite(p3)
-	size := func(path string) int64 {
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Size()
-	}
-	if size(p1) != 16 || size(p3) != 16 {
-		t.Error("untargeted lease writes were damaged")
-	}
-	if size(p2) != 8 {
-		t.Errorf("2nd lease write size %d, want torn to 8", size(p2))
-	}
-	if p.LeaseWrites() != 3 {
-		t.Errorf("LeaseWrites() = %d, want 3", p.LeaseWrites())
-	}
-}
-
-func TestStallBeforeUnitOnlyTargetsItsUnit(t *testing.T) {
-	p, err := Parse("stall-worker=3:10ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Non-target units return immediately; the target sleeps (we only
-	// assert it returns — the duration is the OS's business).
-	p.StallBeforeUnit(1)
-	p.StallBeforeUnit(2)
-	p.StallBeforeUnit(3)
 }

@@ -192,33 +192,6 @@ func Secret(w uint64) bool { return w&flagSecret != 0 }
 // (mem.Access.Instructions).
 func Instructions(w uint64) uint64 { return (w >> nonMemShift) + 1 }
 
-// Windows splits the compiled trace into n contiguous windows of
-// near-equal length (the first Len()%n windows get one extra access,
-// mirroring parexp.SplitCounts). The windows share the compiled backing
-// arrays; the split is a pure function of (Len, n), so it is part of a
-// fixed shard plan. n is clamped to [1, Len] (an empty trace yields n
-// empty windows).
-func (ct *Compiled) Windows(n int) []Compiled {
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(ct.words) && len(ct.words) > 0 {
-		n = len(ct.words)
-	}
-	out := make([]Compiled, n)
-	base, rem := len(ct.words)/n, len(ct.words)%n
-	start := 0
-	for i := range out {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = Compiled{words: ct.words[start : start+size], escapes: ct.escapes}
-		start += size
-	}
-	return out
-}
-
 // SetTag is one access's per-geometry decode: the set index and tag for a
 // particular cache shape, plus the write flag. Geometry returns the full
 // precomputed stream.

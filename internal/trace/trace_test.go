@@ -142,54 +142,6 @@ func appendBuilt(tr mem.Trace) *Compiled {
 	return ct
 }
 
-func TestWindows(t *testing.T) {
-	src := rng.New(11)
-	tr := randTrace(src, 103)
-	ct := Compile(tr)
-	for _, n := range []int{1, 2, 7, 8, 103, 500} {
-		wins := ct.Windows(n)
-		wantWins := n
-		if wantWins > len(tr) {
-			wantWins = len(tr)
-		}
-		if len(wins) != wantWins {
-			t.Fatalf("Windows(%d): got %d windows, want %d", n, len(wins), wantWins)
-		}
-		// Concatenated windows must be the original access sequence, and
-		// sizes must follow the fixed near-even plan (first rem windows
-		// one longer).
-		idx := 0
-		base, rem := len(tr)/wantWins, len(tr)%wantWins
-		for wi := range wins {
-			want := base
-			if wi < rem {
-				want++
-			}
-			if wins[wi].Len() != want {
-				t.Fatalf("Windows(%d)[%d].Len = %d, want %d", n, wi, wins[wi].Len(), want)
-			}
-			for i := 0; i < wins[wi].Len(); i++ {
-				if got, want := wins[wi].At(i), ct.At(idx); got != want {
-					t.Fatalf("Windows(%d)[%d].At(%d) = %+v, want %+v", n, wi, i, got, want)
-				}
-				idx++
-			}
-		}
-		if idx != len(tr) {
-			t.Fatalf("Windows(%d) covers %d accesses, want %d", n, idx, len(tr))
-		}
-	}
-	empty := (&Compiled{}).Windows(4)
-	if len(empty) != 4 {
-		t.Fatalf("empty Windows(4): got %d windows", len(empty))
-	}
-	for _, w := range empty {
-		if w.Len() != 0 {
-			t.Fatal("empty trace window not empty")
-		}
-	}
-}
-
 func TestGeometryRejectsBadSetCounts(t *testing.T) {
 	ct := Compile(mem.Trace{{Addr: 0x40}})
 	for _, sets := range []int{0, -1, 3, 48} {
