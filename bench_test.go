@@ -11,6 +11,7 @@ package randfill_test
 
 import (
 	"bytes"
+	"context"
 	"math/big"
 	"strconv"
 	"strings"
@@ -55,12 +56,22 @@ func pctCell(b *testing.B, cell string) float64 {
 	return v
 }
 
+// runExp runs one experiment to completion, failing the benchmark on error.
+func runExp(b *testing.B, run func(context.Context, experiments.Scale) (*experiments.Table, error), sc experiments.Scale) *experiments.Table {
+	b.Helper()
+	tb, err := run(context.Background(), sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tb
+}
+
 // BenchmarkFigure2 regenerates the final-round collision attack timing
 // characteristic chart.
 func BenchmarkFigure2(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure2(sc)
+		tb := runExp(b, experiments.Figure2, sc)
 		if len(tb.Rows) == 0 {
 			b.Fatal("empty table")
 		}
@@ -71,7 +82,7 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.Table3(sc)
+		tb := runExp(b, experiments.Table3, sc)
 		// Report the demand-fetch signal (paper: 0.652) and the
 		// window-32 signal (paper: 0.006) on the SA cache.
 		first, _ := strconv.ParseFloat(tb.Rows[0][2], 64)
@@ -106,7 +117,7 @@ func BenchmarkTable3CellWorkers(b *testing.B) {
 // BenchmarkFigure5 regenerates the channel-capacity chart.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure5()
+		tb := runExp(b, experiments.Figure5, benchScale())
 		// M=16 at window 2M (paper: >10x reduction).
 		v, _ := strconv.ParseFloat(tb.Rows[3][2], 64)
 		b.ReportMetric(v, "normcap/M16-w2M")
@@ -117,7 +128,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure6(sc)
+		tb := runExp(b, experiments.Figure6, sc)
 		// Random fill on 32KB 4-way (paper: ~100%).
 		b.ReportMetric(pctCell(b, tb.Rows[8][4]), "rf-ipc-%/32KB-4way")
 		// Disable cache (paper: ~55%).
@@ -129,7 +140,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure7(sc)
+		tb := runExp(b, experiments.Figure7, sc)
 		// 8KB Newcache at window 32 (paper: max degradation, -9%).
 		b.ReportMetric(pctCell(b, tb.Rows[5][3]), "ipc-%/8KB-newcache-w32")
 	}
@@ -139,7 +150,7 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkFigure8(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure8(sc)
+		tb := runExp(b, experiments.Figure8, sc)
 		// Average random-fill impact at 16KB DM (paper: ~100%).
 		b.ReportMetric(pctCell(b, tb.Rows[8][4]), "rf-avg-%/16KB")
 		// Average PLcache+preload impact at 16KB DM (paper: 68%).
@@ -151,7 +162,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure9(sc)
+		tb := runExp(b, experiments.Figure9, sc)
 		if len(tb.Rows) != 8 {
 			b.Fatal("bad table")
 		}
@@ -162,7 +173,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.Figure10(sc)
+		tb := runExp(b, experiments.Figure10, sc)
 		// libquantum IPC at [0,15] (paper: +57%).
 		for _, row := range tb.Rows {
 			if row[0] == "libquantum" && row[1] == "IPC" {
@@ -176,7 +187,7 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkTraffic(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		if tb := experiments.Traffic(sc); len(tb.Rows) != 2 {
+		if tb := runExp(b, experiments.Traffic, sc); len(tb.Rows) != 2 {
 			b.Fatal("bad table")
 		}
 	}
@@ -187,7 +198,7 @@ func BenchmarkTraffic(b *testing.B) {
 func BenchmarkPrefetcherComparison(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.PrefetchComparison(sc)
+		tb := runExp(b, experiments.PrefetchComparison, sc)
 		b.ReportMetric(pctCell(b, tb.Rows[1][3]), "libquantum-rf-%")
 		b.ReportMetric(pctCell(b, tb.Rows[1][2]), "libquantum-tagged-%")
 	}
@@ -198,7 +209,7 @@ func BenchmarkPrefetcherComparison(b *testing.B) {
 func BenchmarkDefenseMatrix(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		if tb := experiments.DefenseMatrix(sc); len(tb.Rows) != 7 {
+		if tb := runExp(b, experiments.DefenseMatrix, sc); len(tb.Rows) != 7 {
 			b.Fatal("bad table")
 		}
 	}
@@ -324,7 +335,7 @@ func BenchmarkCollisionMeasurement(b *testing.B) {
 func BenchmarkConstantTime(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.ConstantTime(sc)
+		tb := runExp(b, experiments.ConstantTime, sc)
 		b.ReportMetric(pctCell(b, tb.Rows[1][1]), "informing-ipc-%")
 		b.ReportMetric(pctCell(b, tb.Rows[3][1]), "randomfill-ipc-%")
 	}
@@ -335,7 +346,7 @@ func BenchmarkConstantTime(b *testing.B) {
 func BenchmarkAdaptiveWindow(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		tb := experiments.AdaptiveWindow(sc)
+		tb := runExp(b, experiments.AdaptiveWindow, sc)
 		b.ReportMetric(pctCell(b, tb.Rows[3][2]), "adaptive-vs-best-static-%")
 	}
 }
@@ -345,7 +356,7 @@ func BenchmarkAdaptiveWindow(b *testing.B) {
 func BenchmarkEquation4(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		if tb := experiments.Equation4(sc); len(tb.Rows) != 6 {
+		if tb := runExp(b, experiments.Equation4, sc); len(tb.Rows) != 6 {
 			b.Fatal("bad table")
 		}
 	}
@@ -355,14 +366,14 @@ func BenchmarkEquation4(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		for _, run := range []func(experiments.Scale) *experiments.Table{
+		for _, run := range []func(context.Context, experiments.Scale) (*experiments.Table, error){
 			experiments.AblationWindowShape,
 			experiments.AblationFillQueue,
 			experiments.AblationMissQueue,
 			experiments.AblationDropOnHit,
 			experiments.AblationL2RandomFill,
 		} {
-			if tb := run(sc); len(tb.Rows) == 0 {
+			if tb := runExp(b, run, sc); len(tb.Rows) == 0 {
 				b.Fatal("empty ablation table")
 			}
 		}

@@ -362,20 +362,36 @@ func TestCrashResumeFailedWrite(t *testing.T) {
 }
 
 // TestDeadlineExit: -timeout expiry is exit code 4 with a partial-results
-// note pointing at -resume.
+// note, for a checkpointed resumable run (the note points at -resume) and
+// for a non-resumable one, which stops between its pooled work units and
+// prints no table.
 func TestDeadlineExit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess runs")
 	}
-	dir := t.TempDir()
-	res := runBin(t, "-run", "Table3", "-scale", "quick",
-		"-checkpoint-dir", dir, "-timeout", "50ms")
-	if res.code != 4 {
-		t.Fatalf("deadline run exited %d, want 4:\n%s", res.code, res.stderr)
-	}
-	if !strings.Contains(res.stderr, "deadline exceeded") || !strings.Contains(res.stderr, "-resume") {
-		t.Errorf("stderr lacks the deadline note:\n%s", res.stderr)
-	}
+	t.Run("Resumable", func(t *testing.T) {
+		dir := t.TempDir()
+		res := runBin(t, "-run", "Table3", "-scale", "quick",
+			"-checkpoint-dir", dir, "-timeout", "50ms")
+		if res.code != 4 {
+			t.Fatalf("deadline run exited %d, want 4:\n%s", res.code, res.stderr)
+		}
+		if !strings.Contains(res.stderr, "deadline exceeded") || !strings.Contains(res.stderr, "-resume") {
+			t.Errorf("stderr lacks the deadline note:\n%s", res.stderr)
+		}
+	})
+	t.Run("NonResumable", func(t *testing.T) {
+		res := runBin(t, "-run", "Figure8", "-timeout", "300ms")
+		if res.code != 4 {
+			t.Fatalf("deadline run exited %d, want 4:\n%s", res.code, res.stderr)
+		}
+		if res.stdout != "" {
+			t.Errorf("deadline run printed a table:\n%s", res.stdout)
+		}
+		if !strings.Contains(res.stderr, "deadline exceeded") {
+			t.Errorf("stderr lacks the deadline note:\n%s", res.stderr)
+		}
+	})
 }
 
 // TestInterruptExit: the first SIGINT cancels cooperatively and the process

@@ -13,8 +13,10 @@
 // OccupancyMatrix, PolicyMatrix) is flushed to disk the moment it finishes,
 // and -resume loads those units instead of re-running them — the resumed
 // output is byte-identical to an uninterrupted run at any -workers value.
-// The first SIGINT or SIGTERM cancels cooperatively (in-flight units finish
-// and flush); a second exits immediately.
+// The first SIGINT or SIGTERM cancels cooperatively and -timeout bounds the
+// run the same way: every experiment, resumable or not, stops between its
+// work units (in-flight units finish, and flush with -checkpoint-dir) and
+// prints no table. A second signal exits immediately.
 //
 // Multi-process and multi-machine runs split one resumable experiment's
 // units statically: -units k/N runs only the units i with i % N == k,
@@ -30,10 +32,11 @@
 // partition's), and its stdout is byte-identical to a single-process run.
 //
 // Exit codes: 0 success (including a -units partition run); 1 experiment
-// failure; 2 usage error; 3 interrupted by a signal (completed units were
-// flushed if -checkpoint-dir was set); 4 -timeout deadline exceeded (same
-// flush guarantee); 130 hard exit on a second signal; 137 fault-injected
-// kill (-fault-plan, crash tests only).
+// failure (a panicking work unit's stack goes to stderr); 2 usage error; 3
+// interrupted by a signal (completed units were flushed if -checkpoint-dir
+// was set); 4 -timeout deadline exceeded (same flush guarantee); 130 hard
+// exit on a second signal; 137 fault-injected kill (-fault-plan, crash tests
+// only).
 package main
 
 import (
@@ -50,6 +53,7 @@ import (
 	"randfill/internal/checkpoint"
 	"randfill/internal/experiments"
 	"randfill/internal/faultinject"
+	"randfill/internal/parexp"
 	"randfill/internal/profiling"
 )
 
@@ -240,6 +244,11 @@ func runExperiments(ctx context.Context, sc experiments.Scale, todo []experiment
 				return 3
 			default:
 				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
+				// A panicking work unit still shows where it failed.
+				var pe *parexp.PanicError
+				if errors.As(err, &pe) {
+					fmt.Fprintf(os.Stderr, "%s", pe.Stack)
+				}
 				return 1
 			}
 		}

@@ -53,7 +53,8 @@ func cmdGen(args []string) {
 	out := fs.String("o", "", "output file (required)")
 	fs.Parse(args)
 	if *out == "" {
-		fatal(fmt.Errorf("gen: -o is required"))
+		fmt.Fprintln(os.Stderr, "rftrace: gen: -o is required")
+		usage()
 	}
 
 	trace, err := buildTrace(*workload, *n, *bytes, *seed)

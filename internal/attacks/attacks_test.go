@@ -34,10 +34,13 @@ func samples(t *testing.T, full int) int {
 func TestCollisionBreaksDemandFetch(t *testing.T) {
 	// Table III "size=1": the final-round collision attack recovers the
 	// full last-round key XOR relations against a demand-fetch cache.
-	res := MeasurementsToSuccess(CollisionConfig{
+	res, err := MeasurementsToSuccess(context.Background(), CollisionConfig{
 		Sim:  attackerSim(),
 		Seed: 42,
 	}, 4000, samples(t, 260000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if testing.Short() {
 		// A short run cannot finish the attack; just check progress
 		// beyond the ~0.06 pairs expected by chance.
@@ -59,11 +62,14 @@ func TestCollisionBreaksDemandFetch(t *testing.T) {
 func TestCollisionDefeatedByCoveringWindow(t *testing.T) {
 	// Table III: with a window of 32 (covering the whole T4 table) the
 	// attack makes no progress.
-	res := MeasurementsToSuccess(CollisionConfig{
+	res, err := MeasurementsToSuccess(context.Background(), CollisionConfig{
 		Sim:    attackerSim(),
 		Victim: sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(32)},
 		Seed:   42,
 	}, 10000, samples(t, 40000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Success {
 		t.Fatalf("attack succeeded against a covering window at %d measurements", res.Measurements)
 	}
@@ -384,10 +390,10 @@ func TestCollectAllocFree(t *testing.T) {
 func TestSearchRejectsNonPositiveBatch(t *testing.T) {
 	cfg := CollisionConfig{Sim: attackerSim(), Seed: 1}
 	for _, batch := range []int{0, -1} {
-		if _, err := MeasurementsToSuccessCtx(context.Background(), cfg, batch, 1000); err == nil {
+		if _, err := MeasurementsToSuccess(context.Background(), cfg, batch, 1000); err == nil {
 			t.Errorf("serial search accepted batch %d", batch)
 		}
-		if _, err := MeasurementsToSuccessShardedCtx(context.Background(), parexp.New(1), cfg, batch, 1000, 2); err == nil {
+		if _, err := MeasurementsToSuccessSharded(context.Background(), parexp.New(1), cfg, batch, 1000, 2); err == nil {
 			t.Errorf("sharded search accepted batch %d", batch)
 		}
 	}

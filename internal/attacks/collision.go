@@ -382,17 +382,6 @@ type SearchResult struct {
 	SigmaT float64
 }
 
-// MeasurementsToSuccess collects samples in batches until the attack
-// recovers every XOR relation or maxSamples is reached — the procedure
-// behind Table III's "# measurements" row. It panics if batch ≤ 0.
-func MeasurementsToSuccess(cfg CollisionConfig, batch, maxSamples int) SearchResult {
-	res, err := MeasurementsToSuccessCtx(context.Background(), cfg, batch, maxSamples)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // checkBatch rejects a search batch that could never advance the sample
 // count.
 func checkBatch(batch int) error {
@@ -402,14 +391,16 @@ func checkBatch(batch int) error {
 	return nil
 }
 
-// MeasurementsToSuccessCtx is MeasurementsToSuccess with cooperative
-// cancellation between batches. Unlike the sharded search, an interrupted
-// serial search still returns the partial result alongside ctx's error, so
-// an interactive caller (rfattack) can report how far the attack got before
-// the interrupt; batches already collected are reflected in the result. The
-// returned error is nil iff the search ran to completion or success; a
-// batch ≤ 0 is an error before any sample is collected.
-func MeasurementsToSuccessCtx(ctx context.Context, cfg CollisionConfig, batch, maxSamples int) (SearchResult, error) {
+// MeasurementsToSuccess collects samples in batches until the attack
+// recovers every XOR relation or maxSamples is reached — the procedure
+// behind Table III's "# measurements" row — checking ctx between batches.
+// Unlike the sharded search, an interrupted serial search still returns the
+// partial result alongside ctx's error, so an interactive caller (rfattack)
+// can report how far the attack got before the interrupt; batches already
+// collected are reflected in the result. The returned error is nil iff the
+// search ran to completion or success; a batch ≤ 0 is an error before any
+// sample is collected.
+func MeasurementsToSuccess(ctx context.Context, cfg CollisionConfig, batch, maxSamples int) (SearchResult, error) {
 	if err := checkBatch(batch); err != nil {
 		return SearchResult{}, err
 	}

@@ -7,43 +7,38 @@ import (
 	"randfill/internal/rng"
 )
 
-// NewShards builds one collision attack per shard, all against the SAME
-// victim key (the shards are one attack on one victim) but each with its
-// own Split-derived plaintext stream and simulator seed. The shard plan is
-// a pure function of (cfg, shards): which shard draws which random values
-// never depends on how many goroutines execute them. It is exported so the
-// resumable experiment layer can run the plan shard-by-shard, persisting
-// each completed shard's Stats through the checkpoint store.
-func NewShards(cfg CollisionConfig, shards int) []*Collision {
-	if shards < 1 {
-		shards = 1
-	}
-	// Mirror NewCollision's key derivation so that, for a given cfg.Seed,
-	// the sharded attack targets the same victim key as the serial one.
+// ShardConfig derives shard s's attack config under the fixed shard plan:
+// the SAME victim key as the serial attack on cfg (the shards are one
+// attack on one victim), but the shard's own Split-derived plaintext seed
+// and simulator seed, so shards are independent Monte Carlo samples of the
+// same victim, not replicas. The result is a pure function of (cfg, s), so
+// a shard built alone — by a resumable experiment's work unit, in any
+// process — is the one NewShards builds, and its Seed is the identity a
+// checkpoint of that shard is bound to.
+func ShardConfig(cfg CollisionConfig, s int) CollisionConfig {
+	// Mirror NewCollision's key derivation, then replay the root stream's
+	// splits up to s: shard s's seed is the (s+1)-th split after the key.
 	root := rng.New(cfg.Seed ^ 0xc0111510)
-	key := cfg.Key
-	if key == nil {
-		key = make([]byte, 16)
-		root.Bytes(key)
+	if cfg.Key == nil {
+		cfg.Key = make([]byte, 16)
+		root.Bytes(cfg.Key)
 	}
-	out := make([]*Collision, shards)
-	for s := range out {
-		scfg := cfg
-		scfg.Key = key
-		scfg.Seed = root.SplitSeed(uint64(s))
-		// Give each shard's machine (random fill engine, replacement
-		// randomness) its own stream too, so shards are independent
-		// Monte Carlo samples of the same victim, not replicas.
-		scfg.Sim.Seed = scfg.Seed ^ 0x5ead
-		out[s] = NewCollision(scfg)
+	for j := 0; j <= s; j++ {
+		cfg.Seed = root.SplitSeed(uint64(j))
 	}
-	return out
+	cfg.Sim.Seed = cfg.Seed ^ 0x5ead
+	return cfg
 }
 
-// ShardSeed returns the plaintext-stream seed NewShards derives for shard s
-// of cfg — the identity a checkpoint of that shard is bound to.
-func ShardSeed(cfg CollisionConfig, s int) uint64 {
-	return rng.New(cfg.Seed ^ 0xc0111510).SplitSeed(uint64(s))
+// NewShards builds one collision attack per shard of a fixed plan, shard s
+// from ShardConfig(cfg, s). Which shard draws which random values never
+// depends on how many goroutines execute them.
+func NewShards(cfg CollisionConfig, shards int) []*Collision {
+	out := make([]*Collision, max(shards, 1))
+	for s := range out {
+		out[s] = NewCollision(ShardConfig(cfg, s))
+	}
+	return out
 }
 
 // MergeShardStats folds the shard states together in shard-index order and
@@ -69,37 +64,7 @@ func MergeStats(states []*CollisionStats) *CollisionStats {
 	return agg
 }
 
-// CollectShardedCtx runs one collision attack's measurement collection
-// across a fixed shard plan: total measurements are split evenly over
-// shards, each shard collects its slice on eng's worker pool, and the
-// merged statistics are returned. For a fixed (cfg, total, shards) the
-// result is byte-identical for any worker count — the parallel counterpart
-// of NewCollision + Collect(total). On cancellation the partial shards are
-// discarded and ctx's error is returned.
-func CollectShardedCtx(ctx context.Context, eng *parexp.Engine, cfg CollisionConfig, total, shards int) (*CollisionStats, error) {
-	atks := NewShards(cfg, shards)
-	counts := parexp.SplitCounts(total, len(atks))
-	err := eng.ForEachCtx(ctx, len(atks), func(_ context.Context, s int) error {
-		atks[s].Collect(counts[s])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeShardStats(atks), nil
-}
-
-// CollectSharded is CollectShardedCtx without cancellation. A shard panic
-// is re-panicked in the caller, as with parexp.ForEach.
-func CollectSharded(eng *parexp.Engine, cfg CollisionConfig, total, shards int) *CollisionStats {
-	agg, err := CollectShardedCtx(context.Background(), eng, cfg, total, shards)
-	if err != nil {
-		panic(err)
-	}
-	return agg
-}
-
-// MeasurementsToSuccessShardedCtx is the parallel measurements-to-success
+// MeasurementsToSuccessSharded is the parallel measurements-to-success
 // search behind Table III: the sample budget is consumed in rounds of batch
 // measurements, each round split over the fixed shard plan; after every
 // round the shard states merge (in shard order) and the aggregate is
@@ -119,7 +84,7 @@ func CollectSharded(eng *parexp.Engine, cfg CollisionConfig, total, shards int) 
 // round-by-round early exit is why it checkpoints as one unit rather than
 // per shard: a shard's stopping point depends on every other shard's
 // measurements at each round boundary. A batch ≤ 0 is an error.
-func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cfg CollisionConfig, batch, maxSamples, shards int) (SearchResult, error) {
+func MeasurementsToSuccessSharded(ctx context.Context, eng *parexp.Engine, cfg CollisionConfig, batch, maxSamples, shards int) (SearchResult, error) {
 	if err := checkBatch(batch); err != nil {
 		return SearchResult{}, err
 	}
@@ -133,7 +98,7 @@ func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cf
 			n = rem
 		}
 		counts := parexp.SplitCounts(n, len(atks))
-		err := eng.ForEachCtx(ctx, len(atks), func(_ context.Context, s int) error {
+		err := eng.ForEach(ctx, len(atks), func(_ context.Context, s int) error {
 			atks[s].Collect(counts[s])
 			return nil
 		})
@@ -160,14 +125,4 @@ func MeasurementsToSuccessShardedCtx(ctx context.Context, eng *parexp.Engine, cf
 		CorrectPairs: best,
 		SigmaT:       agg.SigmaT(),
 	}, nil
-}
-
-// MeasurementsToSuccessSharded is MeasurementsToSuccessShardedCtx without
-// cancellation.
-func MeasurementsToSuccessSharded(eng *parexp.Engine, cfg CollisionConfig, batch, maxSamples, shards int) SearchResult {
-	res, err := MeasurementsToSuccessShardedCtx(context.Background(), eng, cfg, batch, maxSamples, shards)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

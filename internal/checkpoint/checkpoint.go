@@ -112,9 +112,6 @@ func (s *Store) Path(m Meta) string {
 	return filepath.Join(s.dir, m.FileBase()+".ckpt")
 }
 
-// path derives the shard's file name; see Meta.FileBase.
-func (s *Store) path(m Meta) string { return s.Path(m) }
-
 // sanitize maps an experiment/stage name to a safe file-name fragment.
 func sanitize(name string) string {
 	return strings.Map(func(r rune) rune {
@@ -140,7 +137,7 @@ func (s *Store) Put(m Meta, payload []byte) error {
 			return fmt.Errorf("checkpoint: put %s shard %d: %w", m.Experiment, m.Shard, err)
 		}
 	}
-	path := s.path(m)
+	path := s.Path(m)
 	if err := atomicio.WriteFile(path, encode(m, payload), 0o644); err != nil {
 		return fmt.Errorf("checkpoint: put %s shard %d: %w", m.Experiment, m.Shard, err)
 	}
@@ -156,7 +153,7 @@ func (s *Store) Put(m Meta, payload []byte) error {
 // caller simply re-runs the shard. The error return is reserved for real
 // I/O failures (e.g. permission errors), which should stop the run.
 func (s *Store) Get(m Meta) (payload []byte, ok bool, err error) {
-	data, err := os.ReadFile(s.path(m))
+	data, err := os.ReadFile(s.Path(m))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}
@@ -344,7 +341,7 @@ func (s *Store) AdoptFrame(data []byte) (Meta, AdoptResult, error) {
 	if !ok {
 		return Meta{}, RejectedTorn, nil
 	}
-	existing, err := os.ReadFile(s.path(m))
+	existing, err := os.ReadFile(s.Path(m))
 	if err == nil {
 		if _, eok := Verify(existing); eok {
 			if bytes.Equal(existing, data) {
@@ -358,7 +355,7 @@ func (s *Store) AdoptFrame(data []byte) (Meta, AdoptResult, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return m, RejectedTorn, fmt.Errorf("checkpoint: adopt: %w", err)
 	}
-	if err := atomicio.WriteFile(s.path(m), data, 0o644); err != nil {
+	if err := atomicio.WriteFile(s.Path(m), data, 0o644); err != nil {
 		return m, RejectedTorn, fmt.Errorf("checkpoint: adopt %s shard %d: %w", m.Experiment, m.Shard, err)
 	}
 	return m, Adopted, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/cache"
@@ -16,7 +17,7 @@ import (
 // window is what matters ("randomized table lookups do not favor the
 // forward direction", Section V.A); for the streaming performance side the
 // forward window wins (Section VII).
-func AblationWindowShape(sc Scale) *Table {
+func AblationWindowShape(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: window shape (size 16) — security signal vs streaming speedup",
 		Headers: []string{"window", "P1-P2 (AES T4)", "libquantum IPC vs demand"},
@@ -37,7 +38,7 @@ func AblationWindowShape(sc Scale) *Table {
 		diff float64
 		ipc  float64
 	}
-	results := parexp.Map(sc.engine(), len(shapes), func(i int) shapeResult {
+	results, err := parexp.Map(sc.engine(), ctx, len(shapes), func(_ context.Context, i int) (shapeResult, error) {
 		mc := infotheory.MonteCarloP1P2(infotheory.P1P2Config{
 			NewCache: sa32kFactory(),
 			Window:   shapes[i].w,
@@ -48,13 +49,16 @@ func AblationWindowShape(sc Scale) *Table {
 		res := sim.New(sim.Config{Seed: sc.Seed}).RunTraceSteady(sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: shapes[i].w,
 		}, trace)
-		return shapeResult{mc.Diff(), res.IPC()}
+		return shapeResult{mc.Diff(), res.IPC()}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, r := range results {
 		t.AddRow(shapes[i].name, fmt.Sprintf("%.3f", r.diff), pct(r.ipc/base.IPC()))
 	}
 	t.AddNote("the bidirectional shape gives the best security at equal size (the paper's choice for crypto); only the forward shape buys the streaming speedup")
-	return t
+	return t, nil
 }
 
 // AblationFillQueue isolates the random fill queue depth. With the FIFO
@@ -62,7 +66,7 @@ func AblationWindowShape(sc Scale) *Table {
 // depth barely matters; under a strict demand-priority arbitration (not
 // modelled here) a shallow queue starves fills entirely — see DESIGN.md's
 // discussion of the 1-entry security configuration.
-func AblationFillQueue(sc Scale) *Table {
+func AblationFillQueue(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: random fill queue depth (AES-CBC, window [-16,+15], 2-entry miss queue)",
 		Headers: []string{"queue depth", "random fills landed", "IPC vs demand"},
@@ -70,28 +74,31 @@ func AblationFillQueue(sc Scale) *Table {
 	ct := aesCBCTrace(sc)
 	base := runAES(sim.Config{Seed: sc.Seed}, sim.ThreadConfig{}, ct)
 	depths := []int{1, 4, 16, 64}
-	results := parexp.Map(sc.engine(), len(depths), func(i int) sim.Result {
+	results, err := parexp.Map(sc.engine(), ctx, len(depths), func(_ context.Context, i int) (sim.Result, error) {
 		cfg := sim.DefaultConfig()
 		cfg.Seed = sc.Seed
 		cfg.MissQueue = 2
 		cfg.FillQueueCap = depths[i]
 		return runAES(cfg, sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
-		}, ct)
+		}, ct), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, res := range results {
 		t.AddRow(fmt.Sprintf("%d", depths[i]),
 			fmt.Sprintf("%d", res.RandomFills),
 			pct(res.IPC()/base.IPC()))
 	}
 	t.AddNote("fills converge to steady-state table residency regardless of depth under FIFO arbitration; landed-fill counts plateau once the tables are resident")
-	return t
+	return t, nil
 }
 
 // AblationMissQueue isolates the miss queue (MSHR) size, the knob the paper
 // turns between its performance configuration (4 entries) and its
 // attacker-favoring security configuration (1 entry).
-func AblationMissQueue(sc Scale) *Table {
+func AblationMissQueue(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: miss queue entries (AES-CBC, demand fetch)",
 		Headers: []string{"entries", "IPC", "vs 4 entries"},
@@ -100,12 +107,15 @@ func AblationMissQueue(sc Scale) *Table {
 	sizes := []int{1, 2, 4, 8}
 	// Each size is simulated once; the "vs 4 entries" column is computed
 	// from the collected IPCs rather than re-running every configuration.
-	ipcs := parexp.Map(sc.engine(), len(sizes), func(i int) float64 {
+	ipcs, err := parexp.Map(sc.engine(), ctx, len(sizes), func(_ context.Context, i int) (float64, error) {
 		cfg := sim.DefaultConfig()
 		cfg.Seed = sc.Seed
 		cfg.MissQueue = sizes[i]
-		return runAES(cfg, sim.ThreadConfig{}, ct).IPC()
+		return runAES(cfg, sim.ThreadConfig{}, ct).IPC(), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	var base float64
 	for i, n := range sizes {
 		if n == 4 {
@@ -116,13 +126,13 @@ func AblationMissQueue(sc Scale) *Table {
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.3f", ipcs[i]), pct(ipcs[i]/base))
 	}
 	t.AddNote("fewer entries serialize misses, which is why the paper's 1-entry security configuration makes timing attacks an order of magnitude cheaper")
-	return t
+	return t, nil
 }
 
 // AblationDropOnHit isolates the tag-check drop of redundant random fill
 // requests (Section IV.B.2): without it, fills that would hit are issued
 // anyway, wasting L2 bandwidth for no security change.
-func AblationDropOnHit(sc Scale) *Table {
+func AblationDropOnHit(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: drop-if-present tag check (AES-CBC, window [-16,+15])",
 		Headers: []string{"variant", "IPC vs demand", "L2 accesses vs demand"},
@@ -136,15 +146,18 @@ func AblationDropOnHit(sc Scale) *Table {
 		ipc float64
 		l2  uint64
 	}
-	results := parexp.Map(sc.engine(), len(keeps), func(i int) dropResult {
+	results, err := parexp.Map(sc.engine(), ctx, len(keeps), func(_ context.Context, i int) (dropResult, error) {
 		m := sim.New(sim.Config{Seed: sc.Seed})
 		res := m.NewThread(sim.ThreadConfig{
 			Mode:               sim.ModeRandomFill,
 			Window:             rng.Window{A: 16, B: 15},
 			KeepRedundantFills: keeps[i],
 		}).RunCompiled(ct)
-		return dropResult{res.IPC(), m.L2Accesses()}
+		return dropResult{res.IPC(), m.L2Accesses()}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, r := range results {
 		name := "with drop (hardware design)"
 		if keeps[i] {
@@ -153,13 +166,13 @@ func AblationDropOnHit(sc Scale) *Table {
 		t.AddRow(name, pct(r.ipc/base.IPC()),
 			pct(float64(r.l2)/float64(mBase.L2Accesses())))
 	}
-	return t
+	return t, nil
 }
 
 // AblationL2RandomFill reproduces the Section VI observation: applying the
 // random fill policy at the L2 as well has negligible performance impact,
 // because the large L2 tolerates the extra pollution.
-func AblationL2RandomFill(sc Scale) *Table {
+func AblationL2RandomFill(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: random fill at L1 only vs L1+L2 (AES-CBC, window [-16,+15])",
 		Headers: []string{"variant", "IPC vs demand"},
@@ -172,16 +185,19 @@ func AblationL2RandomFill(sc Scale) *Table {
 		{Seed: sc.Seed},
 		{Seed: sc.Seed, L2Window: w},
 	}
-	ipcs := parexp.Map(sc.engine(), len(variants), func(i int) float64 {
+	ipcs, err := parexp.Map(sc.engine(), ctx, len(variants), func(_ context.Context, i int) (float64, error) {
 		return runAES(variants[i], sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: w,
-		}, ct).IPC()
+		}, ct).IPC(), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	t.AddRow("L1 random fill", pct(ipcs[0]/base.IPC()))
 	t.AddRow("L1+L2 random fill", pct(ipcs[1]/base.IPC()))
 	t.AddNote("paper Section VI: \"the performance impact is negligible since the L2 cache is large and can better tolerate the potential cache pollution\"")
-	return t
+	return t, nil
 }
 
 // sa32kFactory returns the standard Table III cache factory.

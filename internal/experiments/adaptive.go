@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/adaptive"
@@ -16,7 +17,10 @@ import (
 // longer video-encoding phase (h264ref-like, where wide windows pollute)
 // runs under each static window and under the online controller in
 // internal/adaptive. No static window wins both phases.
-func AdaptiveWindow(sc Scale) *Table {
+func AdaptiveWindow(ctx context.Context, sc Scale) (*Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Future work (Section VII): phase-adaptive window selection",
 		Headers: []string{"policy", "IPC", "vs best static"},
@@ -70,5 +74,5 @@ func AdaptiveWindow(sc Scale) *Table {
 		t.AddRow(r.name, fmt.Sprintf("%.3f", r.ipc), pct(r.ipc/best))
 	}
 	t.AddNote("the adaptive controller explores {demand, [0,3], [0,15], [-8,7]} per epoch and exploits the winner: it tracks within a few percent of the oracle static choice without knowing the workload, and avoids the worst-case static pick entirely")
-	return t
+	return t, nil
 }

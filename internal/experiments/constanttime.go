@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/cache"
@@ -16,7 +17,10 @@ import (
 // and the random fill cache. The paper's qualitative ranking — disable
 // cache worst, informing loads below PLcache+preload, random fill best — is
 // the reproduction target.
-func ConstantTime(sc Scale) *Table {
+func ConstantTime(ctx context.Context, sc Scale) (*Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: "Constant-time defenses vs random fill (AES-CBC)",
 		Headers: []string{"defense", "IPC vs baseline", "handler traps",
@@ -64,14 +68,17 @@ func ConstantTime(sc Scale) *Table {
 		"no preloading, no locking")
 
 	t.AddNote("paper: informing loads is slower than PLcache+preload (more frequent handler invocation) and both trail random fill; an attacker who evicts the tables repeatedly turns the informing-loads handler into a DoS amplifier (Section VIII)")
-	return t
+	return t, nil
 }
 
 // InformingDoS demonstrates the Section VIII abuse case: an attacker
 // thread that continuously evicts the victim's tables multiplies the
 // informing-loads victim's handler invocations, while the random-fill
 // victim is unaffected by design.
-func InformingDoS(sc Scale) *Table {
+func InformingDoS(ctx context.Context, sc Scale) (*Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Section VIII: informing-loads DoS amplification under an evicting co-runner",
 		Headers: []string{"victim defense", "solo IPC", "co-run IPC", "slowdown", "traps"},
@@ -105,7 +112,7 @@ func InformingDoS(sc Scale) *Table {
 			fmt.Sprintf("%d", co.InformingTraps))
 	}
 	t.AddNote("the informing-loads victim pays a full table reload per attacker-induced miss; the random fill victim has nothing for the attacker to abuse")
-	return t
+	return t, nil
 }
 
 // streamingEvictTrace builds the DoS attacker's trace: a fast streaming

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/attacks"
@@ -44,7 +45,7 @@ func defenseRows() []defenseRow {
 // partitioning/randomization defenses close the contention column but not
 // the reuse column; random fill closes the reuse column but not the
 // contention column; only the composition closes both.
-func DefenseMatrix(sc Scale) *Table {
+func DefenseMatrix(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Section VIII: defenses vs attack classes (32KB 4-way L1)",
 		Headers: []string{"cache", "prime-probe set accuracy",
@@ -60,7 +61,7 @@ func DefenseMatrix(sc Scale) *Table {
 		pp attacks.PrimeProbeResult
 		fr attacks.FlushReloadResult
 	}
-	cells := parexp.Map(sc.engine(), len(rows), func(i int) matrixCell {
+	cells, err := parexp.Map(sc.engine(), ctx, len(rows), func(_ context.Context, i int) (matrixCell, error) {
 		row := rows[i]
 		pp := attacks.PrimeProbe(attacks.PrimeProbeConfig{
 			NewCache:     row.mk,
@@ -79,8 +80,11 @@ func DefenseMatrix(sc Scale) *Table {
 			Trials:   trials,
 			Seed:     sc.Seed,
 		})
-		return matrixCell{pp, fr}
+		return matrixCell{pp, fr}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, c := range cells {
 		t.AddRow(rows[i].name,
 			fmt.Sprintf("%.1f%%", 100*c.pp.ExactAccuracy),
@@ -88,5 +92,5 @@ func DefenseMatrix(sc Scale) *Table {
 			fmt.Sprintf("%.3f", c.fr.MutualInfo))
 	}
 	t.AddNote("paper Section VIII: partition/randomization designs stop contention attacks only; random fill stops reuse attacks only; composing them covers all known cache side channel attacks")
-	return t
+	return t, nil
 }

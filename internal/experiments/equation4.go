@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/infotheory"
@@ -12,7 +13,7 @@ import (
 // the timing simulator: for the two-access microbenchmark of Section V.A,
 // the measured expected-time difference mu2 - mu1 must equal
 // (P1 - P2)(tmiss - thit) — Equation 4 — at every window size.
-func Equation4(sc Scale) *Table {
+func Equation4(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Equation 4 validation: measured mu2-mu1 vs (P1-P2)(tmiss-thit)",
 		Headers: []string{"window", "P1", "P2", "predicted (cycles)",
@@ -25,14 +26,17 @@ func Equation4(sc Scale) *Table {
 	sizes := []int{1, 2, 4, 8, 16, 32}
 	// One self-contained measurement per window size; Map keeps row order
 	// fixed no matter which size finishes first.
-	results := parexp.Map(sc.engine(), len(sizes), func(i int) infotheory.TimingSignalResult {
+	results, err := parexp.Map(sc.engine(), ctx, len(sizes), func(_ context.Context, i int) (infotheory.TimingSignalResult, error) {
 		return infotheory.MeasureTimingSignal(infotheory.TimingSignalConfig{
 			Window: rng.Symmetric(sizes[i]),
 			Region: t4Region(),
 			Trials: trials,
 			Seed:   sc.Seed + uint64(sizes[i]),
-		})
+		}), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, res := range results {
 		t.AddRow(fmt.Sprintf("%d", sizes[i]),
 			fmt.Sprintf("%.3f", res.P1),
@@ -41,5 +45,5 @@ func Equation4(sc Scale) *Table {
 			fmt.Sprintf("%.2f", res.Measured))
 	}
 	t.AddNote("the analytical model and the simulator agree within Monte Carlo noise; at the covering window both sides vanish — the paper's 'completely closes the timing channel'")
-	return t
+	return t, nil
 }

@@ -162,9 +162,11 @@ func QuickScale() Scale {
 	}
 }
 
-// Experiment is a registry entry. Run honors cooperative cancellation: a
-// cancelled or expired ctx stops the experiment between work units and
-// surfaces ctx's error.
+// Experiment is a registry entry. Run is the experiment function itself,
+// and every one honors cooperative cancellation the same way: its work units
+// run on the parexp pool, so a cancelled or expired ctx stops the experiment
+// between units and surfaces ctx's error (an experiment with no pooled
+// units checks ctx before it starts).
 type Experiment struct {
 	Name string
 	// What the experiment reproduces.
@@ -172,50 +174,37 @@ type Experiment struct {
 	Run         func(ctx context.Context, sc Scale) (*Table, error)
 	// Resumable marks the long-running attack searches and sweeps whose
 	// Run goes through runShards and so honors Scale.Checkpoint, Resume
-	// and Units. The rest check ctx at unit boundaries only and never
-	// touch the checkpoint store.
+	// and Units. The rest never touch the checkpoint store.
 	Resumable bool
-}
-
-// plain adapts a non-resumable experiment to the registry's context-aware
-// signature. These experiments run in one piece, so cancellation is honored
-// only before the run starts; checkpoint settings are ignored.
-func plain(f func(Scale) *Table) func(context.Context, Scale) (*Table, error) {
-	return func(ctx context.Context, sc Scale) (*Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return f(sc), nil
-	}
 }
 
 // All returns the experiment registry in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"Figure2", "final-round collision attack timing characteristic chart", Figure2Ctx, true},
-		{"Table3", "P1-P2 and measurements-to-success vs window size", Table3Ctx, true},
-		{"Figure5", "storage channel capacity vs window size", plain(func(Scale) *Table { return Figure5() }), false},
-		{"Figure6", "AES-CBC IPC across cache geometries and defenses", plain(Figure6), false},
-		{"Figure7", "AES-CBC IPC vs random fill window size", plain(Figure7), false},
-		{"Figure8", "SMT co-run throughput of SPEC-like programs next to AES", plain(Figure8), false},
-		{"Figure9", "spatial locality profiles Eff(d)", plain(Figure9), false},
-		{"Figure10", "L1 MPKI and IPC vs random fill window per benchmark", plain(Figure10), false},
-		{"Traffic", "L2/memory traffic increase for streaming benchmarks", plain(Traffic), false},
-		{"Prefetch", "tagged prefetcher vs random fill on streaming benchmarks", plain(PrefetchComparison), false},
-		{"Defenses", "defense matrix: cache architectures vs attack classes (Section VIII)", plain(DefenseMatrix), false},
-		{"AblationWindowShape", "window direction: security signal vs streaming speedup", plain(AblationWindowShape), false},
-		{"AblationFillQueue", "random fill queue depth", plain(AblationFillQueue), false},
-		{"AblationMissQueue", "miss queue (MSHR) entries", plain(AblationMissQueue), false},
-		{"AblationDropOnHit", "drop-if-present tag check", plain(AblationDropOnHit), false},
-		{"AblationL2RandomFill", "random fill at L1 only vs L1+L2", plain(AblationL2RandomFill), false},
-		{"Hierarchy3", "3-level hierarchy: which levels run random fill", plain(Hierarchy3), false},
-		{"ConstantTime", "constant-time defenses vs random fill on AES", plain(ConstantTime), false},
-		{"InformingDoS", "informing-loads DoS amplification under an evicting co-runner", plain(InformingDoS), false},
-		{"AdaptiveWindow", "phase-adaptive window selection (the paper's future work)", plain(AdaptiveWindow), false},
-		{"Equation4", "analytical timing-channel model vs simulator (Eq. 4)", plain(Equation4), false},
-		{"MissQueueSecurity", "miss queue size vs collision attack cost (Section V.A)", MissQueueSecurityCtx, true},
-		{"OccupancyMatrix", "security x performance matrix: reuse and occupancy channels per secure cache design", OccupancyMatrixCtx, true},
-		{"PolicyMatrix", "replacement policy x design sweep: reuse/occupancy channels and AES IPC/MPKI per pair", PolicyMatrixCtx, true},
+		{"Figure2", "final-round collision attack timing characteristic chart", Figure2, true},
+		{"Table3", "P1-P2 and measurements-to-success vs window size", Table3, true},
+		{"Figure5", "storage channel capacity vs window size", Figure5, false},
+		{"Figure6", "AES-CBC IPC across cache geometries and defenses", Figure6, false},
+		{"Figure7", "AES-CBC IPC vs random fill window size", Figure7, false},
+		{"Figure8", "SMT co-run throughput of SPEC-like programs next to AES", Figure8, false},
+		{"Figure9", "spatial locality profiles Eff(d)", Figure9, false},
+		{"Figure10", "L1 MPKI and IPC vs random fill window per benchmark", Figure10, false},
+		{"Traffic", "L2/memory traffic increase for streaming benchmarks", Traffic, false},
+		{"Prefetch", "tagged prefetcher vs random fill on streaming benchmarks", PrefetchComparison, false},
+		{"Defenses", "defense matrix: cache architectures vs attack classes (Section VIII)", DefenseMatrix, false},
+		{"AblationWindowShape", "window direction: security signal vs streaming speedup", AblationWindowShape, false},
+		{"AblationFillQueue", "random fill queue depth", AblationFillQueue, false},
+		{"AblationMissQueue", "miss queue (MSHR) entries", AblationMissQueue, false},
+		{"AblationDropOnHit", "drop-if-present tag check", AblationDropOnHit, false},
+		{"AblationL2RandomFill", "random fill at L1 only vs L1+L2", AblationL2RandomFill, false},
+		{"Hierarchy3", "3-level hierarchy: which levels run random fill", Hierarchy3, false},
+		{"ConstantTime", "constant-time defenses vs random fill on AES", ConstantTime, false},
+		{"InformingDoS", "informing-loads DoS amplification under an evicting co-runner", InformingDoS, false},
+		{"AdaptiveWindow", "phase-adaptive window selection (the paper's future work)", AdaptiveWindow, false},
+		{"Equation4", "analytical timing-channel model vs simulator (Eq. 4)", Equation4, false},
+		{"MissQueueSecurity", "miss queue size vs collision attack cost (Section V.A)", MissQueueSecurity, true},
+		{"OccupancyMatrix", "security x performance matrix: reuse and occupancy channels per secure cache design", OccupancyMatrix, true},
+		{"PolicyMatrix", "replacement policy x design sweep: reuse/occupancy channels and AES IPC/MPKI per pair", PolicyMatrix, true},
 	}
 }
 
@@ -227,11 +216,4 @@ func ByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,23 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// runTable runs one experiment function to completion under a background
+// ctx, failing the test on error.
+func runTable(t *testing.T, run func(context.Context, Scale) (*Table, error), sc Scale) *Table {
+	t.Helper()
+	tb, err := run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
 
 // parsePct converts a "97.9%" cell back to a ratio.
 func parsePct(t *testing.T, cell string) float64 {
@@ -63,7 +75,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	tb := Figure5()
+	tb := runTable(t, Figure5, QuickScale())
 	if len(tb.Rows) != 6 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -91,7 +103,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	tb := Figure6(QuickScale())
+	tb := runTable(t, Figure6, QuickScale())
 	if len(tb.Rows) != 9 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -123,7 +135,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	tb := Figure7(QuickScale())
+	tb := runTable(t, Figure7, QuickScale())
 	if len(tb.Rows) != 6 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -148,7 +160,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	tb := Figure9(QuickScale())
+	tb := runTable(t, Figure9, QuickScale())
 	if len(tb.Rows) != 8 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -172,7 +184,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	tb := Figure10(QuickScale())
+	tb := runTable(t, Figure10, QuickScale())
 	if len(tb.Rows) != 16 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -230,7 +242,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestTrafficShape(t *testing.T) {
-	tb := Traffic(QuickScale())
+	tb := runTable(t, Traffic, QuickScale())
 	if len(tb.Rows) != 2 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -249,7 +261,7 @@ func TestTrafficShape(t *testing.T) {
 }
 
 func TestPrefetchComparisonShape(t *testing.T) {
-	tb := PrefetchComparison(QuickScale())
+	tb := runTable(t, PrefetchComparison, QuickScale())
 	for _, row := range tb.Rows {
 		tagged := parsePct(t, row[2])
 		rf := parsePct(t, row[3])
@@ -269,7 +281,7 @@ func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SMT sweep is slow")
 	}
-	tb := Figure8(QuickScale())
+	tb := runTable(t, Figure8, QuickScale())
 	// 2 geometries x (8 benchmarks + average) rows.
 	if len(tb.Rows) != 18 {
 		t.Fatalf("%d rows", len(tb.Rows))
@@ -295,7 +307,7 @@ func TestFigure2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing chart collection is slow")
 	}
-	tb := Figure2(QuickScale())
+	tb := runTable(t, Figure2, QuickScale())
 	if len(tb.Rows) != 18 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -319,7 +331,7 @@ func TestTable3Shape(t *testing.T) {
 	sc.MonteCarloTrials = 20000
 	sc.AttackMaxSamples = 1 << 13 // keep the 12-cell sweep fast
 	sc.AttackBatch = 1 << 12
-	tb := Table3(sc)
+	tb := runTable(t, Table3, sc)
 	if len(tb.Rows) != 12 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -346,7 +358,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestDefenseMatrixShape(t *testing.T) {
-	tb := DefenseMatrix(QuickScale())
+	tb := runTable(t, DefenseMatrix, QuickScale())
 	if len(tb.Rows) != 7 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}

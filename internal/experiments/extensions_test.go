@@ -7,7 +7,7 @@ import (
 )
 
 func TestConstantTimeRanking(t *testing.T) {
-	tb := ConstantTime(QuickScale())
+	tb := runTable(t, ConstantTime, QuickScale())
 	if len(tb.Rows) != 4 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -46,7 +46,7 @@ func TestConstantTimeRanking(t *testing.T) {
 }
 
 func TestInformingDoSShape(t *testing.T) {
-	tb := InformingDoS(QuickScale())
+	tb := runTable(t, InformingDoS, QuickScale())
 	if len(tb.Rows) != 2 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -69,7 +69,7 @@ func TestInformingDoSShape(t *testing.T) {
 }
 
 func TestAblationWindowShape(t *testing.T) {
-	tb := AblationWindowShape(QuickScale())
+	tb := runTable(t, AblationWindowShape, QuickScale())
 	if len(tb.Rows) != 3 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -95,7 +95,7 @@ func TestAblationWindowShape(t *testing.T) {
 }
 
 func TestAblationMissQueueMonotone(t *testing.T) {
-	tb := AblationMissQueue(QuickScale())
+	tb := runTable(t, AblationMissQueue, QuickScale())
 	prev := 0.0
 	for _, row := range tb.Rows {
 		v, err := strconv.ParseFloat(row[1], 64)
@@ -110,7 +110,7 @@ func TestAblationMissQueueMonotone(t *testing.T) {
 }
 
 func TestAblationDropOnHitSavesBandwidth(t *testing.T) {
-	tb := AblationDropOnHit(QuickScale())
+	tb := runTable(t, AblationDropOnHit, QuickScale())
 	if len(tb.Rows) != 2 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -122,7 +122,7 @@ func TestAblationDropOnHitSavesBandwidth(t *testing.T) {
 }
 
 func TestAblationL2RandomFillNegligible(t *testing.T) {
-	tb := AblationL2RandomFill(QuickScale())
+	tb := runTable(t, AblationL2RandomFill, QuickScale())
 	l1 := parsePct(t, tb.Rows[0][1])
 	both := parsePct(t, tb.Rows[1][1])
 	// Paper: negligible difference between L1-only and L1+L2.
@@ -132,7 +132,7 @@ func TestAblationL2RandomFillNegligible(t *testing.T) {
 }
 
 func TestAblationFillQueueRuns(t *testing.T) {
-	tb := AblationFillQueue(QuickScale())
+	tb := runTable(t, AblationFillQueue, QuickScale())
 	if len(tb.Rows) != 4 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -144,7 +144,7 @@ func TestAblationFillQueueRuns(t *testing.T) {
 }
 
 func TestAdaptiveWindowShapeExperiment(t *testing.T) {
-	tb := AdaptiveWindow(QuickScale())
+	tb := runTable(t, AdaptiveWindow, QuickScale())
 	if len(tb.Rows) != 4 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -180,7 +180,7 @@ func TestAdaptiveWindowShapeExperiment(t *testing.T) {
 }
 
 func TestEquation4Experiment(t *testing.T) {
-	tb := Equation4(QuickScale())
+	tb := runTable(t, Equation4, QuickScale())
 	if len(tb.Rows) != 6 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -214,7 +214,7 @@ func TestMissQueueSecurityShape(t *testing.T) {
 	// budgets the pairs-recovered ordering is sampling luck.
 	sc.AttackMaxSamples = 1 << 17
 	sc.AttackBatch = 1 << 15
-	tb := MissQueueSecurity(sc)
+	tb := runTable(t, MissQueueSecurity, sc)
 	if len(tb.Rows) != 3 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}

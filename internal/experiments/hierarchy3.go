@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/cache"
@@ -16,7 +17,7 @@ import (
 // extends that argument one level down: random fill at the L3 is nearly
 // free, at the L2 cheap, and the latency cost concentrates at the L1, where
 // nofill forwarding robs the busiest cache of its reuse.
-func Hierarchy3(sc Scale) *Table {
+func Hierarchy3(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "3-level hierarchy: random fill placement (AES-CBC, window [-8,+7], L1 32K/L2 256K/L3 2M)",
 		Headers: []string{"random fill at", "IPC vs demand", "mem traffic vs demand", "rf issued L1/L2/L3"},
@@ -43,7 +44,7 @@ func Hierarchy3(sc Scale) *Table {
 		mem uint64
 		rf  [3]uint64
 	}
-	results := parexp.Map(sc.engine(), len(placements), func(i int) placeResult {
+	results, err := parexp.Map(sc.engine(), ctx, len(placements), func(_ context.Context, i int) (placeResult, error) {
 		p := placements[i]
 		cfg := sim.DefaultConfig()
 		cfg.Seed = sc.Seed
@@ -70,8 +71,11 @@ func Hierarchy3(sc Scale) *Table {
 				r.rf[k] = fs.RandomIssued
 			}
 		}
-		return r
+		return r, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	base := results[0]
 	for i, r := range results {
@@ -82,5 +86,5 @@ func Hierarchy3(sc Scale) *Table {
 	}
 	t.AddNote("each lower level runs a full fill engine (nofill forwarding + drop-if-present + underflow clamping); background fills add traffic, never demand latency")
 	t.AddNote("extends Section VI one level down: pollution tolerance grows with capacity, so the IPC cost of random fill concentrates at the L1")
-	return t
+	return t, nil
 }

@@ -84,9 +84,9 @@ func TestTable3QuickWorkerInvariance(t *testing.T) {
 	}
 	sc := QuickScale()
 	sc.Workers = 1
-	serial := Table3(sc).String()
+	serial := runTable(t, Table3, sc).String()
 	sc.Workers = 8
-	if parallel := Table3(sc).String(); parallel != serial {
+	if parallel := runTable(t, Table3, sc).String(); parallel != serial {
 		t.Fatalf("quick-scale Table3 differs between workers=1 and workers=8\n--- workers=1 ---\n%s--- workers=8 ---\n%s",
 			serial, parallel)
 	}

@@ -9,20 +9,6 @@ import (
 	"randfill/internal/sim"
 )
 
-// MissQueueSecurity reproduces the paper's observation that its 1-entry
-// miss-queue configuration "requires about 1 order of magnitude less
-// samples compared to the baseline configuration ... which has 4 miss queue
-// entries" (Section V.A): more outstanding misses overlap, blurring the
-// per-collision timing signal. At a fixed measurement budget, the attack
-// recovers more key relations against the smaller miss queue.
-func MissQueueSecurity(sc Scale) *Table {
-	t, err := MissQueueSecurityCtx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // missQueueSizes is the experiment's miss-queue axis.
 var missQueueSizes = []int{2, 4, 8}
 
@@ -40,7 +26,7 @@ func missQueuePlan(sc Scale) unitPlan[attacks.SearchResult] {
 		run: func(ctx context.Context, i int) (attacks.SearchResult, error) {
 			cfg := attacks.CollisionConfig{Sim: sim.DefaultConfig(), Seed: sc.Seed}
 			cfg.Sim.MissQueue = sizes[i]
-			return attacks.MeasurementsToSuccessShardedCtx(ctx, eng, cfg, sc.AttackBatch, sc.AttackMaxSamples, parexp.Shards)
+			return attacks.MeasurementsToSuccessSharded(ctx, eng, cfg, sc.AttackBatch, sc.AttackMaxSamples, parexp.Shards)
 		},
 		marshal: func(r attacks.SearchResult) ([]byte, error) { return r.MarshalBinary() },
 		unmarshal: func(data []byte) (attacks.SearchResult, error) {
@@ -51,9 +37,14 @@ func missQueuePlan(sc Scale) unitPlan[attacks.SearchResult] {
 	}
 }
 
-// MissQueueSecurityCtx is the resumable MissQueueSecurity; missQueuePlan
-// describes its units.
-func MissQueueSecurityCtx(ctx context.Context, sc Scale) (*Table, error) {
+// MissQueueSecurity reproduces the paper's observation that its 1-entry
+// miss-queue configuration "requires about 1 order of magnitude less
+// samples compared to the baseline configuration ... which has 4 miss queue
+// entries" (Section V.A): more outstanding misses overlap, blurring the
+// per-collision timing signal. At a fixed measurement budget, the attack
+// recovers more key relations against the smaller miss queue.
+// It is resumable; missQueuePlan describes its units.
+func MissQueueSecurity(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Section V.A: miss queue size vs collision attack progress",
 		Headers: []string{"miss queue entries", "sigma_T (cycles)",

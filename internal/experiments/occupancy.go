@@ -132,22 +132,13 @@ func occupancyPlan(sc Scale) unitPlan[occCell] {
 	}
 }
 
-// OccupancyMatrix is the non-resumable entry point (panics on error).
-func OccupancyMatrix(sc Scale) *Table {
-	t, err := OccupancyMatrixCtx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// OccupancyMatrixCtx builds the security x performance matrix over every
+// OccupancyMatrix builds the security x performance matrix over every
 // registered secure-cache design: the reuse (flush + reload) channel the
 // paper evaluates, the cache-occupancy channel that needs no shared memory,
 // and the AES-CBC IPC/MPKI of the same architecture. Its work unit is one
 // design's full cell, restored in registry order, so the emitted table is
 // byte-identical across worker counts and across kill/resume boundaries.
-func OccupancyMatrixCtx(ctx context.Context, sc Scale) (*Table, error) {
+func OccupancyMatrix(ctx context.Context, sc Scale) (*Table, error) {
 	designs := securecache.All()
 	cells, err := runShards(ctx, sc, occupancyPlan(sc))
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/aes"
@@ -83,7 +84,7 @@ func figure6Geometries() []cache.Geometry {
 // Figure6 reproduces the cryptographic-workload IPC comparison: for each L1
 // geometry, the IPC of PLcache+preload, disable-cache and random fill
 // [-16,+15], normalized to the demand-fetch baseline of the same geometry.
-func Figure6(sc Scale) *Table {
+func Figure6(ctx context.Context, sc Scale) (*Table, error) {
 	ct := aesCBCTrace(sc)
 	t := &Table{
 		Title:   "Figure 6: normalized IPC of AES-CBC under each defense",
@@ -91,7 +92,7 @@ func Figure6(sc Scale) *Table {
 	}
 	geoms := figure6Geometries()
 	// Each geometry's four runs are one self-contained work item.
-	rows := parexp.Map(sc.engine(), len(geoms), func(i int) [4]float64 {
+	rows, err := parexp.Map(sc.engine(), ctx, len(geoms), func(_ context.Context, i int) ([4]float64, error) {
 		g := geoms[i]
 		base := func(kind sim.CacheKind) sim.Config {
 			cfg := sim.DefaultConfig()
@@ -108,20 +109,23 @@ func Figure6(sc Scale) *Table {
 		rf := runAES(base(sim.KindSA), sim.ThreadConfig{
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 16, B: 15},
 		}, ct)
-		return [4]float64{baseline.IPC(), preload.IPC(), disable.IPC(), rf.IPC()}
+		return [4]float64{baseline.IPC(), preload.IPC(), disable.IPC(), rf.IPC()}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, r := range rows {
 		t.AddRow(geoms[i].String(), "100.0%",
 			pct(r[1]/r[0]), pct(r[2]/r[0]), pct(r[3]/r[0]))
 	}
 	t.AddNote("paper: disable cache ≈ 55%% for all shapes; PLcache+preload 85%% at 8KB DM rising with size/ways; random fill ≥ 96.5%% at 8KB, ≈ 100%% at 32KB")
-	return t
+	return t, nil
 }
 
 // Figure7 reproduces the window-size sensitivity of the AES workload: IPC
 // normalized to the same cache with demand fetch, for the SA cache (8 KB DM
 // and 32 KB 4-way) and Newcache (8 KB and 32 KB).
-func Figure7(sc Scale) *Table {
+func Figure7(ctx context.Context, sc Scale) (*Table, error) {
 	ct := aesCBCTrace(sc)
 	t := &Table{
 		Title:   "Figure 7: normalized IPC of AES vs random fill window size",
@@ -137,16 +141,19 @@ func Figure7(sc Scale) *Table {
 		{sim.KindNewcache, cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}},
 	}
 	eng := sc.engine()
-	baselines := parexp.Map(eng, len(configs), func(i int) float64 {
+	baselines, err := parexp.Map(eng, ctx, len(configs), func(_ context.Context, i int) (float64, error) {
 		cfg := sim.DefaultConfig()
 		cfg.L1 = configs[i].geom
 		cfg.L1Kind = configs[i].kind
 		cfg.Seed = sc.Seed
-		return runAES(cfg, sim.ThreadConfig{}, ct).IPC()
+		return runAES(cfg, sim.ThreadConfig{}, ct).IPC(), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	sizes := []int{1, 2, 4, 8, 16, 32}
 	// One work item per (size, config) cell, index-ordered back into rows.
-	cells := parexp.Map(eng, len(sizes)*len(configs), func(k int) float64 {
+	cells, err := parexp.Map(eng, ctx, len(sizes)*len(configs), func(_ context.Context, k int) (float64, error) {
 		size, c := sizes[k/len(configs)], configs[k%len(configs)]
 		cfg := sim.DefaultConfig()
 		cfg.L1 = c.geom
@@ -156,8 +163,11 @@ func Figure7(sc Scale) *Table {
 		if size > 1 {
 			tc = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}
 		}
-		return runAES(cfg, tc, ct).IPC()
+		return runAES(cfg, tc, ct).IPC(), nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for si, size := range sizes {
 		row := []string{fmt.Sprintf("%d", size)}
 		for i := range configs {
@@ -166,7 +176,7 @@ func Figure7(sc Scale) *Table {
 		t.AddRow(row...)
 	}
 	t.AddNote("paper: SA insensitive to window size; Newcache degrades with window (max -9%% at size 32 on 8KB)")
-	return t
+	return t, nil
 }
 
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }

@@ -94,23 +94,14 @@ func policyPlan(sc Scale) unitPlan[occCell] {
 	}
 }
 
-// PolicyMatrix is the non-resumable entry point (panics on error).
-func PolicyMatrix(sc Scale) *Table {
-	t, err := PolicyMatrixCtx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// PolicyMatrixCtx sweeps every replacement policy across every registered
+// PolicyMatrix sweeps every replacement policy across every registered
 // secure-cache design: the Peters et al. axis that the design papers mostly
 // fix at one policy. Each (policy, design) cell scores the reuse and
 // occupancy channels and the AES-CBC IPC/MPKI of the combined architecture.
 // The work unit is one cell, restored in (policy-major, registry-order)
 // order, so the emitted table is byte-identical across worker counts and
 // across kill/resume boundaries.
-func PolicyMatrixCtx(ctx context.Context, sc Scale) (*Table, error) {
+func PolicyMatrix(ctx context.Context, sc Scale) (*Table, error) {
 	policies := cache.PolicyNames()
 	designs := securecache.All()
 	cells, err := runShards(ctx, sc, policyPlan(sc))

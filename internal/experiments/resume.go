@@ -147,7 +147,7 @@ func runShards[T any](ctx context.Context, sc Scale, p unitPlan[T]) ([]T, error)
 		}
 	}
 	if len(missing) > 0 {
-		err := sc.engine().ForEachCtx(ctx, len(missing), func(ctx context.Context, k int) error {
+		err := sc.engine().ForEach(ctx, len(missing), func(ctx context.Context, k int) error {
 			i := missing[k]
 			if sc.Track != nil {
 				sc.Track(meta(i), false)

@@ -1,13 +1,17 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"randfill/internal/attacks"
 	"randfill/internal/checkpoint"
+	"randfill/internal/parexp"
 )
 
 // countingHooks counts checkpoint writes, so the tests can assert which
@@ -101,6 +105,50 @@ func TestFigure2ResumeByteIdentical(t *testing.T) {
 	}
 	if h3.count() != 0 {
 		t.Fatalf("fully-checkpointed resume still wrote %d checkpoints", h3.count())
+	}
+}
+
+// TestFigure2CheckpointSeedIsShardSeed: each Figure2 checkpoint is bound
+// to the seed its shard attacker actually ran with — the attacker
+// attacks.ShardConfig derives, which is the one attacks.NewShards builds —
+// and that attacker reproduces the stored payload byte for byte.
+func TestFigure2CheckpointSeedIsShardSeed(t *testing.T) {
+	sc := tinyScale()
+	st, _ := openStore(t, t.TempDir())
+	sc.Checkpoint = st
+	var mu sync.Mutex
+	metas := map[int]checkpoint.Meta{}
+	sc.Track = func(m checkpoint.Meta, done bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		metas[m.Shard] = m
+	}
+	runTable(t, Figure2, sc)
+
+	cfg := attacks.CollisionConfig{Sim: attackerSim(), Seed: sc.Seed}
+	counts := parexp.SplitCounts(sc.Figure2Samples, parexp.Shards)
+	for i := 0; i < parexp.Shards; i++ {
+		m, ok := metas[i]
+		if !ok {
+			t.Fatalf("unit %d never ran", i)
+		}
+		scfg := attacks.ShardConfig(cfg, i)
+		if m.Seed != scfg.Seed {
+			t.Errorf("unit %d stored seed %#x, its attacker ran with %#x", i, m.Seed, scfg.Seed)
+		}
+		stored, ok, err := st.Get(m)
+		if err != nil || !ok {
+			t.Fatalf("unit %d: checkpoint not readable (ok=%v, err=%v)", i, ok, err)
+		}
+		atk := attacks.NewCollision(scfg)
+		atk.Collect(counts[i])
+		want, err := atk.Stats().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stored, want) {
+			t.Errorf("unit %d: stored stats differ from the seed-%#x attacker's", i, scfg.Seed)
+		}
 	}
 }
 

@@ -33,23 +33,12 @@ func t4Region() mem.Region {
 	return mem.Region{Base: 0x10000 + 4*1024, Size: 1024}
 }
 
-// Figure2 reproduces the timing characteristic chart: mean encryption time
-// vs c0^c1 over random-plaintext block encryptions against a demand-fetch
-// cache, with the minimum at k10_0 ^ k10_1.
-func Figure2(sc Scale) *Table {
-	t, err := Figure2Ctx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // figure2Plan is Figure2's work-unit plan: the collision attack's
-// parexp.Shards measurement shards — the same fixed plan
-// attacks.CollectSharded runs — so each checkpoint holds one shard's full
-// CollisionStats and the final merge (in shard-index order) is
-// byte-identical whether the shards came from this run, a prior one, or
-// another process's.
+// parexp.Shards measurement shards, shard i built from
+// attacks.ShardConfig(cfg, i), so each checkpoint holds one shard's full
+// CollisionStats under the seed that shard ran with, and the final merge
+// (in shard-index order) is byte-identical whether the shards came from
+// this run, a prior one, or another process's.
 func figure2Plan(sc Scale) unitPlan[*attacks.CollisionStats] {
 	cfg := attacks.CollisionConfig{
 		Sim:  attackerSim(),
@@ -59,11 +48,12 @@ func figure2Plan(sc Scale) unitPlan[*attacks.CollisionStats] {
 	return unitPlan[*attacks.CollisionStats]{
 		exp:  "Figure2",
 		n:    parexp.Shards,
-		seed: func(i int) uint64 { return attacks.ShardSeed(cfg, i) },
+		seed: func(i int) uint64 { return attacks.ShardConfig(cfg, i).Seed },
 		run: func(_ context.Context, i int) (*attacks.CollisionStats, error) {
-			// Each unit builds its own shard attacker: a unit is a pure
-			// function of (sc, i) even when another process runs it alone.
-			atk := attacks.NewShards(cfg, parexp.Shards)[i]
+			// Each unit builds only its own shard attacker: a unit is a
+			// pure function of (sc, i) even when another process runs it
+			// alone.
+			atk := attacks.NewCollision(attacks.ShardConfig(cfg, i))
 			atk.Collect(counts[i])
 			return atk.Stats(), nil
 		},
@@ -78,8 +68,11 @@ func figure2Plan(sc Scale) unitPlan[*attacks.CollisionStats] {
 	}
 }
 
-// Figure2Ctx is the resumable Figure2; figure2Plan describes its units.
-func Figure2Ctx(ctx context.Context, sc Scale) (*Table, error) {
+// Figure2 reproduces the timing characteristic chart: mean encryption time
+// vs c0^c1 over random-plaintext block encryptions against a demand-fetch
+// cache, with the minimum at k10_0 ^ k10_1. It is resumable; figure2Plan
+// describes its units.
+func Figure2(ctx context.Context, sc Scale) (*Table, error) {
 	states, err := runShards(ctx, sc, figure2Plan(sc))
 	if err != nil {
 		return nil, err
@@ -153,7 +146,7 @@ func (c *t3cell) UnmarshalBinary(data []byte) error {
 // table3Cell runs one Table III cell: Monte Carlo P1-P2 plus the empirical
 // measurements-to-success search under the cap, both sharded on eng.
 func table3Cell(ctx context.Context, sc Scale, eng *parexp.Engine, mk func(src *rng.Source) cache.Cache, kind sim.CacheKind, size int) (t3cell, error) {
-	mc, err := infotheory.MonteCarloP1P2ShardedCtx(ctx, eng, infotheory.P1P2Config{
+	mc, err := infotheory.MonteCarloP1P2Sharded(ctx, eng, infotheory.P1P2Config{
 		NewCache: mk,
 		Window:   rng.Symmetric(size),
 		Trials:   sc.MonteCarloTrials,
@@ -168,7 +161,7 @@ func table3Cell(ctx context.Context, sc Scale, eng *parexp.Engine, mk func(src *
 	if size > 1 {
 		cfg.Victim = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(size)}
 	}
-	res, err := attacks.MeasurementsToSuccessShardedCtx(ctx, eng, cfg, sc.AttackBatch, sc.AttackMaxSamples, parexp.Shards)
+	res, err := attacks.MeasurementsToSuccessSharded(ctx, eng, cfg, sc.AttackBatch, sc.AttackMaxSamples, parexp.Shards)
 	if err != nil {
 		return t3cell{}, err
 	}
@@ -193,17 +186,6 @@ func table3Bases() []struct {
 			return newcache.New(32*1024, 4, src)
 		}},
 	}
-}
-
-// Table3 reproduces Table III: P1-P2 (Monte Carlo) and the number of
-// measurements for a successful collision attack, for window sizes 1..32 on
-// the random fill cache built over the 4-way SA cache and over Newcache.
-func Table3(sc Scale) *Table {
-	t, err := Table3Ctx(context.Background(), sc)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // table3Sizes is Table III's window-size axis.
@@ -238,9 +220,12 @@ func table3Plan(sc Scale) unitPlan[t3cell] {
 	}
 }
 
-// Table3Ctx is the resumable Table III; table3Plan describes its units,
-// which restore in (base, size) order.
-func Table3Ctx(ctx context.Context, sc Scale) (*Table, error) {
+// Table3 reproduces Table III: P1-P2 (Monte Carlo) and the number of
+// measurements for a successful collision attack, for window sizes 1..32 on
+// the random fill cache built over the 4-way SA cache and over Newcache.
+// It is resumable; table3Plan describes its units, which restore in
+// (base, size) order.
+func Table3(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Table III: P1-P2 and measurements for a successful collision attack",
 		Headers: []string{"cache", "window", "P1-P2", "measurements", "outcome",
@@ -302,7 +287,10 @@ func Table3Cell(sc Scale, size int) *Table {
 // Figure5 reproduces the storage-channel capacity chart: normalized
 // capacity vs window size normalized to the security-critical region size,
 // for M = 8, 16, 64, 128 lines.
-func Figure5() *Table {
+func Figure5(ctx context.Context, _ Scale) (*Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Figure 5: normalized channel capacity vs normalized window size",
 		Headers: []string{"window/M", "M=8", "M=16", "M=64", "M=128"},
@@ -317,5 +305,5 @@ func Figure5() *Table {
 		t.AddRow(row...)
 	}
 	t.AddNote("capacity normalized to demand fetch (log2 M bits); paper: >10x reduction at window = 2M, boundary effect smaller for larger M")
-	return t
+	return t, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"randfill/internal/cache"
@@ -27,7 +28,7 @@ func smtRun(sc Scale, g cache.Geometry, kind sim.CacheKind, cryptoCfg sim.Thread
 // SPEC-like program running next to a continuous AES enc+dec thread, for
 // five cache configurations at 16 KB DM and 32 KB 4-way, normalized to the
 // baseline (demand-fetch SA, crypto thread unprotected).
-func Figure8(sc Scale) *Table {
+func Figure8(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Figure 8: normalized throughput of programs co-running with AES (SMT)",
 		Headers: []string{"L1", "benchmark", "baseline", "PLcache+preload",
@@ -44,7 +45,7 @@ func Figure8(sc Scale) *Table {
 	for _, g := range geoms {
 		g := g
 		// One work item per benchmark: five co-runs against this geometry.
-		rows := parexp.Map(eng, len(benches), func(i int) [5]float64 {
+		rows, err := parexp.Map(eng, ctx, len(benches), func(_ context.Context, i int) ([5]float64, error) {
 			bench := trace.Compile(benches[i].Gen(sc.SpecAccesses, sc.Seed))
 			base := smtRun(sc, g, sim.KindSA, sim.ThreadConfig{Owner: 1}, bench, crypto)
 			return [5]float64{
@@ -59,8 +60,11 @@ func Figure8(sc Scale) *Table {
 				smtRun(sc, g, sim.KindNewcache, sim.ThreadConfig{
 					Mode: sim.ModeRandomFill, Window: w, Owner: 1,
 				}, bench, crypto) / base,
-			}
+			}, nil
 		})
+		if err != nil {
+			return nil, err
+		}
 		var sums [5]float64
 		for bi, vals := range rows {
 			row := []string{g.String(), benches[bi].Name}
@@ -77,12 +81,12 @@ func Figure8(sc Scale) *Table {
 		t.AddRow(avg...)
 	}
 	t.AddNote("paper: random fill has no impact on co-running programs; PLcache+preload degrades them 32%% on average at 16KB, 1%% at 32KB")
-	return t
+	return t, nil
 }
 
 // Figure9 reproduces the spatial-locality profiles: the reference ratio
 // Eff(d) per benchmark for fill offsets d within ±16 lines.
-func Figure9(sc Scale) *Table {
+func Figure9(ctx context.Context, sc Scale) (*Table, error) {
 	offsets := []int{-16, -8, -4, -2, -1, 1, 2, 4, 8, 16}
 	headers := []string{"benchmark"}
 	for _, d := range offsets {
@@ -94,19 +98,22 @@ func Figure9(sc Scale) *Table {
 	}
 	geom := cache.Geometry{SizeBytes: 32 * 1024, Ways: 4}
 	benches := workloads.All()
-	rows := parexp.Map(sc.engine(), len(benches), func(i int) []string {
+	rows, err := parexp.Map(sc.engine(), ctx, len(benches), func(_ context.Context, i int) ([]string, error) {
 		p := workloads.SpatialProfile(benches[i].Gen(sc.SpecAccesses, sc.Seed), geom, 16, sc.Seed)
 		row := []string{benches[i].Name}
 		for _, d := range offsets {
 			row = append(row, fmt.Sprintf("%.2f", p.Eff(d)))
 		}
-		return row
+		return row, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, row := range rows {
 		t.AddRow(row...)
 	}
 	t.AddNote("paper: most workloads have locality within ~4 lines; lbm and libquantum show wide forward locality")
-	return t
+	return t, nil
 }
 
 // figure10Windows are the fill windows of Figure 10, forward then
@@ -121,7 +128,7 @@ func figure10Windows() []rng.Window {
 
 // Figure10 reproduces the per-benchmark MPKI and IPC sweep across fill
 // windows: window [0,0] is the demand-fetch baseline.
-func Figure10(sc Scale) *Table {
+func Figure10(ctx context.Context, sc Scale) (*Table, error) {
 	headers := []string{"benchmark", "metric"}
 	for _, w := range figure10Windows() {
 		headers = append(headers, fmt.Sprintf("[%d,%d]", -w.A, w.B))
@@ -133,7 +140,7 @@ func Figure10(sc Scale) *Table {
 	benches := workloads.All()
 	// One work item per benchmark: its full window sweep (the [0,0] column
 	// is the in-item baseline, so items stay self-contained).
-	rows := parexp.Map(sc.engine(), len(benches), func(bi int) [2][]string {
+	rows, err := parexp.Map(sc.engine(), ctx, len(benches), func(_ context.Context, bi int) ([2][]string, error) {
 		bench := benches[bi]
 		trace := bench.Gen(sc.SpecAccesses, sc.Seed)
 		mpkiRow := []string{bench.Name, "MPKI"}
@@ -153,26 +160,29 @@ func Figure10(sc Scale) *Table {
 			mpkiRow = append(mpkiRow, fmt.Sprintf("%.1f", res.MPKI()))
 			ipcRow = append(ipcRow, pct(res.IPC()/baseIPC))
 		}
-		return [2][]string{mpkiRow, ipcRow}
+		return [2][]string{mpkiRow, ipcRow}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, pair := range rows {
 		t.AddRow(pair[0]...)
 		t.AddRow(pair[1]...)
 	}
 	t.AddNote("paper: larger windows raise MPKI and lower IPC for narrow-locality benchmarks; lbm and libquantum improve (libquantum [0,15]: MPKI -31%%, IPC +57%%)")
-	return t
+	return t, nil
 }
 
 // Traffic reproduces the Section VII traffic observation: the L2 and
 // memory traffic increase of random fill [0,15] over demand fetch for the
 // streaming benchmarks.
-func Traffic(sc Scale) *Table {
+func Traffic(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Section VII: traffic increase of random fill [0,15] vs demand fetch",
 		Headers: []string{"benchmark", "L2 traffic", "memory traffic"},
 	}
 	names := []string{"lbm", "libquantum"}
-	rows := parexp.Map(sc.engine(), len(names), func(i int) [2]float64 {
+	rows, err := parexp.Map(sc.engine(), ctx, len(names), func(_ context.Context, i int) ([2]float64, error) {
 		bench, _ := workloads.ByName(names[i])
 		trace := bench.Gen(sc.SpecAccesses, sc.Seed)
 
@@ -187,25 +197,28 @@ func Traffic(sc Scale) *Table {
 		return [2]float64{
 			float64(mRF.L2Accesses())/float64(mBase.L2Accesses()) - 1,
 			float64(mRF.MemAccesses())/float64(mBase.MemAccesses()) - 1,
-		}
+		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, r := range rows {
 		t.AddRow(names[i], fmt.Sprintf("%+.1f%%", 100*r[0]), fmt.Sprintf("%+.1f%%", 100*r[1]))
 	}
 	t.AddNote("paper: L2 traffic +48%%/+56%%, memory traffic +0.03%%/+22%% for lbm/libquantum")
-	return t
+	return t, nil
 }
 
 // PrefetchComparison reproduces the Section VII prefetcher comparison: IPC
 // of a tagged next-line prefetcher vs random fill [0,15] on the streaming
 // benchmarks, normalized to demand fetch.
-func PrefetchComparison(sc Scale) *Table {
+func PrefetchComparison(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Section VII: tagged prefetcher vs random fill on streaming benchmarks",
 		Headers: []string{"benchmark", "baseline", "tagged prefetcher", "random fill [0,15]"},
 	}
 	names := []string{"lbm", "libquantum"}
-	rows := parexp.Map(sc.engine(), len(names), func(i int) [3]float64 {
+	rows, err := parexp.Map(sc.engine(), ctx, len(names), func(_ context.Context, i int) ([3]float64, error) {
 		bench, _ := workloads.ByName(names[i])
 		trace := bench.Gen(sc.SpecAccesses, sc.Seed)
 
@@ -219,11 +232,14 @@ func PrefetchComparison(sc Scale) *Table {
 			Mode: sim.ModeRandomFill, Window: rng.Window{A: 0, B: 15},
 		}, trace)
 
-		return [3]float64{base.IPC(), pf.IPC(), rf.IPC()}
+		return [3]float64{base.IPC(), pf.IPC(), rf.IPC()}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, r := range rows {
 		t.AddRow(names[i], "100.0%", pct(r[1]/r[0]), pct(r[2]/r[0]))
 	}
 	t.AddNote("paper: tagged prefetcher +11%%/+26%%, random fill +17%%/+57%% for lbm/libquantum")
-	return t
+	return t, nil
 }

@@ -232,24 +232,16 @@ func MonteCarloP1P2(cfg P1P2Config) P1P2Result {
 // different (equally valid) Monte Carlo sample than the serial
 // MonteCarloP1P2 at the same cfg.Seed, because the shards draw from split
 // streams.
-func MonteCarloP1P2Sharded(eng *parexp.Engine, cfg P1P2Config, shards int) P1P2Result {
-	res, err := MonteCarloP1P2ShardedCtx(context.Background(), eng, cfg, shards)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// MonteCarloP1P2ShardedCtx is MonteCarloP1P2Sharded with cooperative
-// cancellation between shards; a cancelled run discards the partial counts
-// and returns ctx's error.
-func MonteCarloP1P2ShardedCtx(ctx context.Context, eng *parexp.Engine, cfg P1P2Config, shards int) (P1P2Result, error) {
+//
+// Cancellation is checked between shards; a cancelled run discards the
+// partial counts and returns ctx's error.
+func MonteCarloP1P2Sharded(ctx context.Context, eng *parexp.Engine, cfg P1P2Config, shards int) (P1P2Result, error) {
 	if shards < 1 {
 		shards = 1
 	}
 	seeds := parexp.ShardSeeds(cfg.Seed, shards)
 	counts := parexp.SplitCounts(cfg.Trials, shards)
-	parts, err := parexp.MapCtx(eng, ctx, shards, func(_ context.Context, s int) (P1P2Result, error) {
+	parts, err := parexp.Map(eng, ctx, shards, func(_ context.Context, s int) (P1P2Result, error) {
 		scfg := cfg
 		scfg.Seed = seeds[s]
 		scfg.Trials = counts[s]

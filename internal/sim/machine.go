@@ -171,15 +171,11 @@ func (m *Machine) smtPass(main, bg *Thread, mainCT, bgCT *trace.Compiled, bi int
 	return bi
 }
 
-// RunSMT co-runs two threads: the main thread executes its trace once; the
-// background thread loops over its trace until the main thread finishes
-// (the paper's Figure 8 setup, where AES enc+dec runs continuously next to
-// a SPEC workload). It returns the main thread's result.
-func (m *Machine) RunSMT(mainCfg ThreadConfig, mainTrace mem.Trace, bgCfg ThreadConfig, bgTrace mem.Trace) Result {
-	return m.RunSMTCompiled(mainCfg, trace.Compile(mainTrace), bgCfg, trace.Compile(bgTrace))
-}
-
-// RunSMTCompiled is RunSMT over precompiled traces.
+// RunSMTCompiled co-runs two threads over precompiled traces: the main
+// thread executes its trace once; the background thread loops over its
+// trace until the main thread finishes (the paper's Figure 8 setup, where
+// AES enc+dec runs continuously next to a SPEC workload). It returns the
+// main thread's result.
 func (m *Machine) RunSMTCompiled(mainCfg ThreadConfig, mainCT *trace.Compiled, bgCfg ThreadConfig, bgCT *trace.Compiled) Result {
 	main := m.NewThread(mainCfg)
 	bg := m.NewThread(bgCfg)
@@ -187,7 +183,7 @@ func (m *Machine) RunSMTCompiled(mainCfg ThreadConfig, mainCT *trace.Compiled, b
 	return main.Result()
 }
 
-// RunSMTSteady is RunSMT with a warm-up pass: the main trace runs once
+// RunSMTSteady is RunSMTCompiled over mem.Traces with a warm-up pass: the main trace runs once
 // unmeasured (the background thread co-running throughout), then the
 // measured pass runs; the result covers only the measured pass.
 func (m *Machine) RunSMTSteady(mainCfg ThreadConfig, mainTrace mem.Trace, bgCfg ThreadConfig, bgTrace mem.Trace) Result {

@@ -203,17 +203,18 @@ func escapeCase() replayPinCase {
 	return replayPinCase{name: "escape", cfg: cfg, tc: ThreadConfig{Mode: ModeRandomFill, Window: rng.Window{A: 8, B: 7}}}
 }
 
-// TestRunCompiledMatchesRun pins the Run-shaped conveniences to each other.
+// TestRunCompiledMatchesRun pins the mem.Trace convenience (Machine.RunTrace)
+// to Thread.RunCompiled on the compiled trace.
 func TestRunCompiledMatchesRun(t *testing.T) {
 	tr, _ := replayPinTrace()
 	cfg := DefaultConfig()
 	cfg.Seed = 9
 	tc := ThreadConfig{Mode: ModeRandomFill, Window: rng.Window{A: 8, B: 7}}
 
-	a := New(cfg).NewThread(tc).Run(tr)
+	a := New(cfg).RunTrace(tc, tr)
 	b := New(cfg).NewThread(tc).RunCompiled(trace.Compile(tr))
 	if ga, gb := fmt.Sprintf("%+v", a), fmt.Sprintf("%+v", b); ga != gb {
-		t.Errorf("RunCompiled diverges from Run:\n compiled %s\n scalar   %s", gb, ga)
+		t.Errorf("RunCompiled diverges from RunTrace:\n compiled %s\n RunTrace %s", gb, ga)
 	}
 }
 

@@ -102,7 +102,7 @@ func replayStates(t *testing.T) []namedState {
 		}
 		main := ThreadConfig{Owner: 0}
 		m := New(cfg)
-		res := m.RunSMT(main, tr, bg, bgTrace)
+		res := m.RunSMTCompiled(main, trace.Compile(tr), bg, trace.Compile(bgTrace))
 		once := machineState(m, res)
 		m = New(cfg)
 		res = m.RunSMTSteady(main, tr, bg, bgTrace)

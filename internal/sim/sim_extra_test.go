@@ -7,6 +7,7 @@ import (
 	"randfill/internal/cache"
 	"randfill/internal/mem"
 	"randfill/internal/rng"
+	"randfill/internal/trace"
 )
 
 func TestRPcacheKindRuns(t *testing.T) {
@@ -45,9 +46,9 @@ func TestDomainSwitchingInSMT(t *testing.T) {
 		}
 		return tr
 	}
-	res := m.RunSMT(
-		ThreadConfig{Owner: 0}, mk(1<<20),
-		ThreadConfig{Owner: 1}, mk(2<<20),
+	res := m.RunSMTCompiled(
+		ThreadConfig{Owner: 0}, trace.Compile(mk(1<<20)),
+		ThreadConfig{Owner: 1}, trace.Compile(mk(2<<20)),
 	)
 	// A 4-line working set must hit most of the time once warm (RPcache
 	// deflections invalidate some of the active domain's lines on

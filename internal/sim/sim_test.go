@@ -7,6 +7,7 @@ import (
 	"randfill/internal/mem"
 	"randfill/internal/prefetch"
 	"randfill/internal/rng"
+	"randfill/internal/trace"
 )
 
 func tinyConfig() Config {
@@ -284,9 +285,9 @@ func TestSMTSharedCacheInterference(t *testing.T) {
 		return tr
 	}
 	alone := New(cfg).RunTrace(ThreadConfig{}, mkMain())
-	shared := New(cfg).RunSMT(
-		ThreadConfig{}, mkMain(),
-		ThreadConfig{Owner: 1}, seqTrace(4096, 1, 2),
+	shared := New(cfg).RunSMTCompiled(
+		ThreadConfig{}, trace.Compile(mkMain()),
+		ThreadConfig{Owner: 1}, trace.Compile(seqTrace(4096, 1, 2)),
 	)
 	if shared.IPC() >= alone.IPC() {
 		t.Errorf("SMT co-run IPC %.3f not below solo IPC %.3f", shared.IPC(), alone.IPC())

@@ -509,9 +509,6 @@ func (t *Thread) enqueuePrefetches(lines []mem.Line) {
 	}
 }
 
-// Run executes an entire trace and returns the thread's result.
-func (t *Thread) Run(tr mem.Trace) Result { return t.RunCompiled(trace.Compile(tr)) }
-
 // RunCompiled executes an entire precompiled trace and returns the thread's
 // result.
 func (t *Thread) RunCompiled(ct *trace.Compiled) Result {
