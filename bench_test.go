@@ -31,6 +31,7 @@ import (
 	"randfill/internal/rng"
 	"randfill/internal/rpcache"
 	"randfill/internal/sim"
+	"randfill/internal/trace"
 	"randfill/internal/traceio"
 	"randfill/internal/workloads"
 )
@@ -272,7 +273,8 @@ func BenchmarkAESBlock(b *testing.B) {
 }
 
 // BenchmarkAESBlockTraced measures traced encryption (trace construction
-// included), the attack inner loop's first half.
+// included) as the collision attack runs it: EncryptBlockCompiled into one
+// reused packed trace, with a fresh plaintext per block.
 func BenchmarkAESBlockTraced(b *testing.B) {
 	c, err := aes.New(make([]byte, 16))
 	if err != nil {
@@ -280,10 +282,12 @@ func BenchmarkAESBlockTraced(b *testing.B) {
 	}
 	tr := &aes.Tracer{Cipher: c, Layout: aes.DefaultLayout()}
 	var in [16]byte
+	var ct trace.Compiled
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, trace := tr.EncryptBlock(in[:], 0)
-		if len(trace) == 0 {
+		in[i%16]++
+		tr.EncryptBlockCompiled(&ct, in[:], 0)
+		if ct.Len() == 0 {
 			b.Fatal("empty trace")
 		}
 	}
@@ -320,14 +324,32 @@ func BenchmarkMonteCarloP1P2(b *testing.B) {
 
 // BenchmarkCollisionMeasurement measures one attack measurement (clean
 // cache + traced encryption + timing) — the unit the Table III search
-// multiplies by millions.
+// multiplies by millions — on Table III's two-entry attacker machine: the
+// demand-fetch SA cache, and random fill at window 8 over SA and Newcache
+// (the random-fill cells are most of the table).
 func BenchmarkCollisionMeasurement(b *testing.B) {
-	cfg := attacks.CollisionConfig{Sim: sim.DefaultConfig(), Seed: 1}
-	cfg.Sim.MissQueue = 2
-	a := attacks.NewCollision(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Collect(1)
+	for _, c := range []struct {
+		name   string
+		kind   sim.CacheKind
+		window int
+	}{
+		{"demand-sa", sim.KindSA, 0},
+		{"randomfill-sa-w8", sim.KindSA, 8},
+		{"randomfill-newcache-w8", sim.KindNewcache, 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := attacks.CollisionConfig{Sim: sim.DefaultConfig(), Seed: 1}
+			cfg.Sim.MissQueue = 2
+			cfg.Sim.L1Kind = c.kind
+			if c.window > 0 {
+				cfg.Victim = sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: rng.Symmetric(c.window)}
+			}
+			a := attacks.NewCollision(cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Collect(1)
+			}
+		})
 	}
 }
 

@@ -104,6 +104,9 @@ func main() {
 	} else if !w3.Zero() {
 		fatal(fmt.Errorf("-l3window requires -l3"))
 	}
+	if *mshrs < 1 || *mshrs > sim.MaxMissQueue {
+		usage(fmt.Errorf("-mshrs %d: %s must be 1..%d", *mshrs, flag.Lookup("mshrs").Usage, sim.MaxMissQueue))
+	}
 	if err := cfg.L1.Validate(); err != nil {
 		usage(fmt.Errorf("L1 (-l1 %d -ways %d): %v", *l1size, *ways, err))
 	}

@@ -80,6 +80,24 @@ func TestBadGeometryExits2(t *testing.T) {
 	}
 }
 
+// TestMissQueueOutOfRangeExits2: a miss queue outside 1..sim.MaxMissQueue
+// entries is a usage error (one stderr line naming the flag, exit 2), not
+// a panic inside sim.New.
+func TestMissQueueOutOfRangeExits2(t *testing.T) {
+	for _, n := range []string{"-1", "0", "65"} {
+		stdout, stderr, code := run(t, "-mshrs", n, "-workload", "sjeng", "-n", "1000")
+		if code != 2 {
+			t.Errorf("-mshrs %s exited %d, want 2:\n%s", n, code, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("-mshrs %s printed to stdout:\n%s", n, stdout)
+		}
+		if lines := strings.Count(stderr, "\n"); lines != 1 || !strings.HasPrefix(stderr, "rfsim: -mshrs "+n+": miss queue entries must be 1..64") {
+			t.Errorf("-mshrs %s stderr is not the one usage line:\n%s", n, stderr)
+		}
+	}
+}
+
 // TestSmallRun pins a few stdout lines of one small demand-fetch run.
 func TestSmallRun(t *testing.T) {
 	stdout, stderr, code := run(t, "-workload", "sjeng", "-n", "20000", "-seed", "1")

@@ -166,6 +166,74 @@ func TestBlockCompiledTracksTracerChanges(t *testing.T) {
 	}
 }
 
+// TestEncryptBlockCompiledEscapes drives one tracer over many plaintexts
+// per layout and instruction mix, so all but the first block are built by
+// patching the recorded template. Lookups that escape (far tables, giant
+// NonMem counts) and lookups whose encoding depends on the index (tables
+// straddling the packed line space) must still come out word for word as
+// trace.Compile of the mem.Trace form, escape records included.
+func TestEncryptBlockCompiledEscapes(t *testing.T) {
+	src := rng.New(0xe5c)
+	key := make([]byte, 16)
+	src.Bytes(key)
+	c, err := New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, lay := range []Layout{DefaultLayout(), farLayout(), straddleLayout()} {
+		for _, opts := range []TraceOpts{{}, {NonMem: 4095}, {StackPerLookup: 2, NonMem: 1 << 20}} {
+			tr := &Tracer{Cipher: c, Layout: lay, Opts: opts}
+			ref := &Tracer{Cipher: c, Layout: lay, Opts: opts}
+			var ct trace.Compiled
+			escapes := 0
+			for k := 0; k < 200; k++ {
+				block := make([]byte, BlockSize)
+				src.Bytes(block)
+				wantOut, want := ref.EncryptBlock(block, BlockSize*(k%2))
+				if out := tr.EncryptBlockCompiled(&ct, block, BlockSize*(k%2)); out != wantOut {
+					t.Fatalf("layout %d opts %+v block %d: ciphertexts differ", li, opts, k)
+				}
+				sameCompiled(t, "EncryptBlockCompiled", &ct, trace.Compile(want))
+				for i := 0; i < ct.Len(); i++ {
+					if trace.IsEscape(ct.Word(i)) {
+						escapes++
+					}
+				}
+			}
+			if (li > 0 || opts.NonMem > 4094) && escapes == 0 {
+				t.Errorf("layout %d opts %+v: no escape records; the case does not test escapes", li, opts)
+			}
+		}
+	}
+}
+
+// TestEncryptBlockCompiledPatchesTemplate pins the steady-state path: once
+// a shape has been recorded, a later block of the same shape is built by
+// patching the template, not recorded afresh. A marker planted in a
+// non-lookup word of the template must show up in the next block's trace.
+func TestEncryptBlockCompiledPatchesTemplate(t *testing.T) {
+	c, err := New(make([]byte, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Tracer{Cipher: c, Layout: DefaultLayout()}
+	var ct trace.Compiled
+	block := make([]byte, BlockSize)
+	tr.EncryptBlockCompiled(&ct, block, 0)
+	_, marked := tr.EncryptBlock(block, 0)
+	if marked[0].Secret {
+		t.Fatal("the first access is a table lookup; plant the marker elsewhere")
+	}
+	marked[0].NonMem += 1000
+	tr.tmpl.words.CopyFrom(trace.Compile(marked))
+
+	block[0] = 1
+	tr.EncryptBlockCompiled(&ct, block, 0)
+	_, want := tr.EncryptBlock(block, 0)
+	want[0].NonMem += 1000
+	sameCompiled(t, "block after a planted template", &ct, trace.Compile(want))
+}
+
 // TestEncryptBlockCompiledAllocFree pins the steady-state block tracer at
 // zero allocations: the recorder and the caller's trace are reused.
 func TestEncryptBlockCompiledAllocFree(t *testing.T) {

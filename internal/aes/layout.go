@@ -177,8 +177,9 @@ func (r *traceRec) bufferIO(base mem.Addr, off int, kind mem.Kind) {
 }
 
 // Tracer generates memory access traces for cipher executions under a given
-// layout. Use it by pointer: the block forms keep a persistent recorder (a
-// per-call recorder would escape through the Recorder interface). Every
+// layout. Use it by pointer: the block forms keep persistent recorders (a
+// per-call recorder would escape through the Recorder interface) and the
+// packed form keeps a block template (see EncryptBlockCompiled). Every
 // method has a mem.Trace form and a packed form that writes trace.Compiled
 // words directly; the packed form equals trace.Compile of the mem.Trace
 // form, word for word.
@@ -187,7 +188,58 @@ type Tracer struct {
 	Layout Layout
 	Opts   TraceOpts
 
-	rec traceRec
+	rec   traceRec
+	tmpl  blockTemplate
+	patch patchRec
+}
+
+// blockShape is everything a block trace's shape depends on: which
+// accesses it makes and in what order. The plaintext and the cipher key
+// only choose the table-lookup addresses.
+type blockShape struct {
+	off    int
+	lay    Layout
+	opts   TraceOpts
+	rounds int
+}
+
+// blockTemplate is the packed trace of the last block traceRec recorded,
+// with the positions of its table lookups (its Secret accesses) in the
+// order Cipher.Encrypt reports them. The zero template matches no shape.
+type blockTemplate struct {
+	shape   blockShape
+	words   trace.Compiled
+	lookups []int32
+}
+
+// set makes ct, recorded with the given shape, the template.
+func (b *blockTemplate) set(shape blockShape, ct *trace.Compiled) {
+	b.shape = shape
+	b.words.CopyFrom(ct)
+	if n := 16 * shape.rounds; cap(b.lookups) < n {
+		b.lookups = make([]int32, 0, n)
+	}
+	b.lookups = b.lookups[:0]
+	for i := 0; i < ct.Len(); i++ {
+		if ct.At(i).Secret {
+			b.lookups = append(b.lookups, int32(i))
+		}
+	}
+}
+
+// patchRec is the Recorder that collects a block's table-lookup
+// addresses, in the order Cipher.Encrypt reports them, for patching into a
+// copied block template.
+type patchRec struct {
+	lay   *Layout
+	addrs [16 * 14]mem.Addr // 16 lookups per round, at most 14 rounds
+	n     int
+}
+
+// Lookup implements Recorder.
+func (p *patchRec) Lookup(table int, index byte, _ int, _ bool) {
+	p.addrs[p.n] = p.lay.LookupAddr(table, index)
+	p.n++
 }
 
 // EncryptBlock encrypts one block at buffer offset off and returns the
@@ -207,9 +259,27 @@ func (t *Tracer) EncryptBlockInto(buf mem.Trace, src []byte, off int) ([BlockSiz
 // EncryptBlockCompiled is EncryptBlock writing the block's trace into ct,
 // replacing its contents. Steady-state calls with a reused ct allocate
 // nothing.
+//
+// The recorder traces a block once per (offset, layout, options, round
+// count); later calls copy that template into ct and patch only the table
+// lookups' lines, the one part the plaintext and key change. A block with
+// a lookup stored as an escape record, or whose new line would need one,
+// is recorded afresh instead.
 func (t *Tracer) EncryptBlockCompiled(ct *trace.Compiled, src []byte, off int) [BlockSize]byte {
+	shape := blockShape{off: off, lay: t.Layout, opts: t.Opts, rounds: t.Cipher.Rounds()}
+	if b := &t.tmpl; b.shape == shape {
+		p := &t.patch
+		p.lay, p.n = &t.Layout, 0
+		var dst [BlockSize]byte
+		t.Cipher.Encrypt(dst[:], src, p)
+		ct.CopyFrom(&b.words)
+		if ct.SetAddrs(b.lookups, p.addrs[:p.n]) {
+			return dst
+		}
+	}
 	ct.Reset()
 	dst, _ := t.recordBlock(nil, ct, src, off)
+	t.tmpl.set(shape, ct)
 	return dst
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"randfill/internal/cache"
 	"randfill/internal/parexp"
@@ -24,10 +25,37 @@ func smtRun(sc Scale, g cache.Geometry, kind sim.CacheKind, cryptoCfg sim.Thread
 	return res.IPC()
 }
 
+// sharedTrace is one benchmark's compiled trace, shared by that
+// benchmark's Figure8 work items: the first item to need it generates it
+// and the last one to finish drops it.
+type sharedTrace struct {
+	mu    sync.Mutex
+	t     *trace.Compiled
+	users int // items that have not released the trace yet
+}
+
+func (s *sharedTrace) acquire(gen func() *trace.Compiled) *trace.Compiled {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.t == nil {
+		s.t = gen()
+	}
+	return s.t
+}
+
+func (s *sharedTrace) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.users--; s.users == 0 {
+		s.t = nil
+	}
+}
+
 // Figure8 reproduces the SMT co-run experiment: the throughput of each
 // SPEC-like program running next to a continuous AES enc+dec thread, for
 // five cache configurations at 16 KB DM and 32 KB 4-way, normalized to the
-// baseline (demand-fetch SA, crypto thread unprotected).
+// baseline (demand-fetch SA, crypto thread unprotected). One work item is
+// one co-run, so a cancelled run stops within one co-run.
 func Figure8(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		Title: "Figure 8: normalized throughput of programs co-running with AES (SMT)",
@@ -40,43 +68,53 @@ func Figure8(ctx context.Context, sc Scale) (*Table, error) {
 		{SizeBytes: 16 * 1024, Ways: 1},
 		{SizeBytes: 32 * 1024, Ways: 4},
 	}
+	// The five configurations, baseline first, in column order.
+	configs := []struct {
+		kind sim.CacheKind
+		tc   sim.ThreadConfig
+	}{
+		{sim.KindSA, sim.ThreadConfig{Owner: 1}},
+		{sim.KindPLcache, sim.ThreadConfig{Mode: sim.ModePreload, SecretRegions: allTables(), Owner: 1}},
+		{sim.KindSA, sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w, Owner: 1}},
+		{sim.KindNewcache, sim.ThreadConfig{Owner: 1}},
+		{sim.KindNewcache, sim.ThreadConfig{Mode: sim.ModeRandomFill, Window: w, Owner: 1}},
+	}
 	benches := workloads.All()
-	eng := sc.engine()
-	for _, g := range geoms {
-		g := g
-		// One work item per benchmark: five co-runs against this geometry.
-		rows, err := parexp.Map(eng, ctx, len(benches), func(_ context.Context, i int) ([5]float64, error) {
-			bench := trace.Compile(benches[i].Gen(sc.SpecAccesses, sc.Seed))
-			base := smtRun(sc, g, sim.KindSA, sim.ThreadConfig{Owner: 1}, bench, crypto)
-			return [5]float64{
-				1,
-				smtRun(sc, g, sim.KindPLcache, sim.ThreadConfig{
-					Mode: sim.ModePreload, SecretRegions: allTables(), Owner: 1,
-				}, bench, crypto) / base,
-				smtRun(sc, g, sim.KindSA, sim.ThreadConfig{
-					Mode: sim.ModeRandomFill, Window: w, Owner: 1,
-				}, bench, crypto) / base,
-				smtRun(sc, g, sim.KindNewcache, sim.ThreadConfig{Owner: 1}, bench, crypto) / base,
-				smtRun(sc, g, sim.KindNewcache, sim.ThreadConfig{
-					Mode: sim.ModeRandomFill, Window: w, Owner: 1,
-				}, bench, crypto) / base,
-			}, nil
+	// Item i is benchmark i/(G*C), geometry i/C%G, configuration i%C. Items
+	// are claimed in index order, so a benchmark's items run back to back
+	// and only the benchmarks in flight hold a trace: each is generated
+	// once per call, by its first item, and dropped after its last.
+	ng, nb, nc := len(geoms), len(benches), len(configs)
+	traces := make([]sharedTrace, nb)
+	for bi := range traces {
+		traces[bi].users = ng * nc
+	}
+	ipc, err := parexp.Map(sc.engine(), ctx, nb*ng*nc, func(_ context.Context, i int) (float64, error) {
+		bi, c := i/(ng*nc), configs[i%nc]
+		bench := traces[bi].acquire(func() *trace.Compiled {
+			return trace.Compile(benches[bi].Gen(sc.SpecAccesses, sc.Seed))
 		})
-		if err != nil {
-			return nil, err
-		}
+		defer traces[bi].release()
+		return smtRun(sc, geoms[i/nc%ng], c.kind, c.tc, bench, crypto), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for gi, g := range geoms {
 		var sums [5]float64
-		for bi, vals := range rows {
-			row := []string{g.String(), benches[bi].Name}
-			for i, v := range vals {
-				sums[i] += v
+		for bi, b := range benches {
+			row := []string{g.String(), b.Name}
+			run := ipc[(bi*ng+gi)*nc:][:nc]
+			for ci, v := range run {
+				v /= run[0]
+				sums[ci] += v
 				row = append(row, pct(v))
 			}
 			t.AddRow(row...)
 		}
 		avg := []string{g.String(), "average"}
 		for _, s := range sums {
-			avg = append(avg, pct(s/float64(len(benches))))
+			avg = append(avg, pct(s/float64(nb)))
 		}
 		t.AddRow(avg...)
 	}

@@ -68,7 +68,8 @@ type Config struct {
 	MemLat   uint64 // additional DRAM latency on L2 miss
 
 	// MissQueue is the number of miss-queue (MSHR) entries per thread
-	// (Table IV: 4; the security evaluation also uses 1).
+	// (Table IV: 4; the security evaluation also uses 1), at most
+	// MaxMissQueue.
 	MissQueue int
 
 	// NoMoThreads and NoMoReserved configure the NoMo partitioning
@@ -102,6 +103,10 @@ type Config struct {
 	// Seed drives all simulator randomness (replacement, fill windows).
 	Seed uint64
 }
+
+// MaxMissQueue is the largest Config.MissQueue: a thread tracks its miss
+// queue in 64-bit occupancy masks.
+const MaxMissQueue = 64
 
 // DefaultConfig returns the Table IV baseline: 32 KB 4-way L1D with LRU,
 // 2 MB 8-way L2, 1/20-cycle hit latencies, DDR3-1600-class memory latency,

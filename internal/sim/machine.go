@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"randfill/internal/cache"
@@ -36,9 +37,13 @@ type Machine struct {
 	ctScratch trace.Compiled
 }
 
-// New builds a machine from cfg (zero fields take Table IV defaults).
+// New builds a machine from cfg (zero fields take Table IV defaults). It
+// panics if MissQueue is outside 1..MaxMissQueue.
 func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
+	if cfg.MissQueue < 1 || cfg.MissQueue > MaxMissQueue {
+		panic(fmt.Sprintf("sim: MissQueue %d outside 1..%d", cfg.MissQueue, MaxMissQueue))
+	}
 	root := rng.New(cfg.Seed)
 	return &Machine{
 		cfg:  cfg,

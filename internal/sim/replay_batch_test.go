@@ -77,6 +77,10 @@ func replayPinCases(reg mem.Region) []replayPinCase {
 	tiny.Seed = 7
 	oneMSHR := tiny
 	oneMSHR.MissQueue = 1
+	twoMSHR := tiny
+	twoMSHR.MissQueue = 2
+	wideMSHR := tiny
+	wideMSHR.MissQueue = MaxMissQueue
 	l2rf := tiny
 	l2rf.L2Window = rng.Window{A: 4, B: 3}
 	three := tiny
@@ -100,6 +104,11 @@ func replayPinCases(reg mem.Region) []replayPinCase {
 		{name: "demand", cfg: tiny, tc: ThreadConfig{}},
 		{name: "randomfill", cfg: tiny, tc: rf},
 		{name: "one-mshr", cfg: oneMSHR, tc: rf},
+		// The collision attacker's two-entry queue, and the widest queue
+		// the occupancy bitmask holds, with prefetches riding it too.
+		{name: "two-mshr", cfg: twoMSHR, tc: rf},
+		{name: "mshr-64", cfg: wideMSHR, tc: rf},
+		{name: "mshr-64-prefetch", cfg: wideMSHR, tc: ThreadConfig{}, prefetch: true},
 		{name: "l2window", cfg: l2rf, tc: rf},
 		{name: "three-level", cfg: three, tc: rf},
 		{name: "disable-secret", cfg: tiny, tc: ThreadConfig{Mode: ModeDisableSecret}},

@@ -3,6 +3,7 @@ package sim
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,8 +25,8 @@ const replayGoldenPath = "testdata/replay_state.golden"
 // TestReplayStateGolden pins the full machine state (machineState) of every
 // replay shape to a recorded file: single-thread replay of every
 // TestBatchReplayMatchesStep case and of the escape-record trace, SMT
-// co-runs on all seven L1 kinds, and Figure 8's five thread configurations
-// on small traces. The differential tests in this package compare two
+// co-runs on all seven L1 kinds, Figure 8's five thread configurations on
+// small traces, and the collision attack's flush-and-replay sample loop. The differential tests in this package compare two
 // entry points that share one access body; this golden is what catches a
 // change to that shared body. Regenerate with `go test ./internal/sim -run
 // ReplayStateGolden -update` only for an intended change of output.
@@ -145,6 +146,59 @@ func replayStates(t *testing.T) []namedState {
 				out = append(out, namedState{fmt.Sprintf("figure8/%s/%s/%s", g, bn, c.name), machineState(m, res)})
 			}
 		}
+	}
+	return append(out, collisionSampleStates(t)...)
+}
+
+// collisionSampleStates pins the collision attack's measurement loop (see
+// internal/attacks): the two-entry attacker machine replays one traced AES
+// block per sample from a flushed L1, under the demand-fetch SA cache and
+// under random fill over SA and Newcache at windows 8 and 32. Besides the
+// final machine state it records an FNV-1a digest of every sample's
+// elapsed cycles (the little-endian bytes of their float64 bits), the
+// value the attack measures.
+func collisionSampleStates(t *testing.T) []namedState {
+	t.Helper()
+	shapes := []struct {
+		kind   CacheKind
+		window int
+	}{{KindSA, 0}, {KindSA, 8}, {KindSA, 32}, {KindNewcache, 8}, {KindNewcache, 32}}
+	var out []namedState
+	for _, s := range shapes {
+		cfg := DefaultConfig()
+		cfg.MissQueue = 2
+		cfg.L1Kind = s.kind
+		cfg.Seed = 17
+		var tc ThreadConfig
+		if s.window > 0 {
+			tc = ThreadConfig{Mode: ModeRandomFill, Window: rng.Symmetric(s.window)}
+		}
+		src := rng.New(0xb10c)
+		var key, pt [16]byte
+		src.Bytes(key[:])
+		cipher, err := aes.New(key[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracer := &aes.Tracer{Cipher: cipher, Layout: aes.DefaultLayout()}
+		m := New(cfg)
+		th := m.NewThread(tc)
+		var ct trace.Compiled
+		digest := uint64(14695981039346656037) // FNV offset basis
+		for i := 0; i < 200; i++ {
+			src.Bytes(pt[:])
+			m.L1().Flush()
+			start := th.Cycle()
+			tracer.EncryptBlockCompiled(&ct, pt[:], 0)
+			th.ReplayBatch(&ct)
+			th.Drain()
+			elapsed := math.Float64bits(th.Cycle() - start)
+			for k := 0; k < 64; k += 8 {
+				digest = (digest ^ elapsed>>k&0xff) * 1099511628211
+			}
+		}
+		name := fmt.Sprintf("collision/%s/w%d", s.kind, s.window)
+		out = append(out, namedState{name, fmt.Sprintf("%s samples=%016x", machineState(m, th.Result()), digest)})
 	}
 	return out
 }

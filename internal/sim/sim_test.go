@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"randfill/internal/cache"
@@ -362,6 +363,26 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if cfg.MissQueue != 4 || cfg.IssueWidth != 4 {
 		t.Errorf("defaults %+v", cfg)
+	}
+}
+
+// TestNewRejectsMissQueueOutOfRange: the miss queue lives in 64-bit
+// occupancy masks, so New accepts 1..MaxMissQueue entries (0 is the
+// default, 4) and panics with a message naming the field otherwise.
+func TestNewRejectsMissQueueOutOfRange(t *testing.T) {
+	for _, n := range []int{-1, MaxMissQueue + 1, 1000} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "MissQueue") {
+					t.Errorf("MissQueue %d: panic %q, want one naming MissQueue", n, msg)
+				}
+			}()
+			New(Config{MissQueue: n})
+		}()
+	}
+	for _, n := range []int{0, 1, MaxMissQueue} {
+		New(Config{MissQueue: n})
 	}
 }
 

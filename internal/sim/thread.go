@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"randfill/internal/cache"
 	"randfill/internal/core"
@@ -15,19 +16,17 @@ func coreEngine(c cache.Cache, src *rng.Source) *core.Engine {
 }
 
 // mshrEntry is one miss-queue slot: an outstanding request to the L2/DRAM.
+// Whether the slot is occupied, and whether its request is a background
+// fill, live in the thread's busy and background bitmasks.
 type mshrEntry struct {
-	valid bool
-	line  mem.Line
-	done  float64
+	line mem.Line
+	done float64
 	// fillL1 applies the line to the L1 on completion (normal demand
 	// fill, random fill, prefetch). NoFill demand entries have it false.
-	fillL1 bool
-	// background marks random-fill/prefetch entries, which produce no
-	// data for the processor: dependent accesses do not wait on them.
-	background bool
-	dirty      bool
-	offset     int8
-	prefetch   bool
+	fillL1   bool
+	dirty    bool
+	offset   int8
+	prefetch bool
 }
 
 // Result summarizes a thread's execution.
@@ -124,9 +123,16 @@ type Thread struct {
 	// available; a Dependent access cannot issue before it.
 	dataReady float64
 	mshr      []mshrEntry
-	// inflight counts valid miss-queue entries, so the pending-line scan
-	// can return immediately when nothing is outstanding.
-	inflight int
+	// busy has bit i set while miss-queue slot i holds an outstanding
+	// request; background has it set when that request is a random fill
+	// or prefetch, which produces no data for the processor. Every scan
+	// visits the set bits in index order.
+	busy, background uint64
+	// fillsBlocked is set when issueFills stopped for want of a slot (the
+	// queue is full, or the background entries are at their limit). Only
+	// a retirement frees a slot, so it stays exact until retireDue clears
+	// it, and serviceFills skips the attempt meanwhile.
+	fillsBlocked bool
 	// nextDone is the earliest completion time among valid miss-queue
 	// entries (+Inf when there are none). Every issue lowers it and every
 	// retirement scan recomputes it, so retire can return at once until an
@@ -176,11 +182,9 @@ func (t *Thread) retire(now float64) {
 
 func (t *Thread) retireDue(now float64) {
 	next := math.Inf(1)
-	for i := range t.mshr {
+	for m := t.busy; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		e := &t.mshr[i]
-		if !e.valid {
-			continue
-		}
 		if e.done > now {
 			if e.done < next {
 				next = e.done
@@ -193,7 +197,7 @@ func (t *Thread) retireDue(now float64) {
 				Owner:  t.cfg.Owner,
 				Offset: e.offset,
 			})
-			if e.background {
+			if t.background&(1<<i) != 0 {
 				if e.prefetch {
 					t.res.Prefetches++
 				} else {
@@ -204,17 +208,17 @@ func (t *Thread) retireDue(now float64) {
 				p.OnFill(e.line, e.prefetch)
 			}
 		}
-		e.valid = false
-		t.inflight--
+		t.busy &^= 1 << i
+		t.background &^= 1 << i
 	}
 	t.nextDone = next
+	t.fillsBlocked = false
 }
 
 // issue occupies miss-queue slot with request e.
 func (t *Thread) issue(slot int, e mshrEntry) {
-	e.valid = true
 	t.mshr[slot] = e
-	t.inflight++
+	t.busy |= 1 << slot
 	if e.done < t.nextDone {
 		t.nextDone = e.done
 	}
@@ -252,24 +256,22 @@ func (t *Thread) freeSlot() int {
 	}
 }
 
-// trySlot returns a free slot without stalling, or -1.
+// trySlot returns the lowest free slot without stalling, or -1.
 func (t *Thread) trySlot() int {
-	for i := range t.mshr {
-		if !t.mshr[i].valid {
-			return i
-		}
+	if t.busy == t.slots() {
+		return -1
 	}
-	return -1
+	return bits.TrailingZeros64(^t.busy)
 }
+
+// slots is the bitmask of every miss-queue slot.
+func (t *Thread) slots() uint64 { return 1<<len(t.mshr) - 1 }
 
 // pending reports whether line has an outstanding miss-queue entry, and its
 // index.
 func (t *Thread) pending(line mem.Line) int {
-	if t.inflight == 0 {
-		return -1
-	}
-	for i := range t.mshr {
-		if t.mshr[i].valid && t.mshr[i].line == line {
+	for m := t.busy; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); t.mshr[i].line == line {
 			return i
 		}
 	}
@@ -291,8 +293,9 @@ func (t *Thread) enqueueFill(r core.Request) {
 // fills (standard MSHR reservation for demand traffic).
 func (t *Thread) serviceFills() {
 	// An empty queue has already been rewound (issueFills rewinds it
-	// whenever it drains), so there is nothing to do.
-	if t.fillPending() == 0 {
+	// whenever it drains), so there is nothing to do; a blocked queue
+	// waits for a retirement.
+	if t.fillPending() == 0 || t.fillsBlocked {
 		return
 	}
 	t.issueFills()
@@ -300,19 +303,13 @@ func (t *Thread) serviceFills() {
 
 func (t *Thread) issueFills() {
 	for t.fillPending() > 0 {
-		if len(t.mshr) > 1 {
-			bg := 0
-			for i := range t.mshr {
-				if t.mshr[i].valid && t.mshr[i].background {
-					bg++
-				}
-			}
-			if bg >= len(t.mshr)-1 {
-				return
-			}
+		if len(t.mshr) > 1 && bits.OnesCount64(t.background) >= len(t.mshr)-1 {
+			t.fillsBlocked = true
+			return
 		}
 		slot := t.trySlot()
 		if slot < 0 {
+			t.fillsBlocked = true
 			return
 		}
 		r := t.fillQueue[t.fillHead]
@@ -328,13 +325,13 @@ func (t *Thread) issueFills() {
 		}
 		lat := t.machine.fetchBelow(r.Line, false)
 		t.issue(slot, mshrEntry{
-			line:       r.Line,
-			done:       t.cycle + float64(lat),
-			fillL1:     true,
-			background: true,
-			offset:     r.Offset,
-			prefetch:   r.Type == prefetchRequest,
+			line:     r.Line,
+			done:     t.cycle + float64(lat),
+			fillL1:   true,
+			offset:   r.Offset,
+			prefetch: r.Type == prefetchRequest,
 		})
+		t.background |= 1 << slot
 	}
 	// Drained: rewind the ring so the backing array is reused.
 	t.fillQueue = t.fillQueue[:0]
@@ -520,20 +517,22 @@ func (t *Thread) RunCompiled(ct *trace.Compiled) Result {
 // Drain waits for all outstanding requests to complete and applies their
 // fills, advancing the clock to the last completion.
 func (t *Thread) Drain() {
-	maxDone := t.cycle
-	for i := range t.mshr {
-		if t.mshr[i].valid && t.mshr[i].done > maxDone {
-			maxDone = t.mshr[i].done
-		}
-	}
-	t.cycle = maxDone
+	t.cycle = t.lastDone()
 	t.retire(t.cycle)
 	// Issue any still-queued background fills and let them land too.
 	t.serviceFills()
-	for i := range t.mshr {
-		if t.mshr[i].valid && t.mshr[i].done > t.cycle {
-			t.cycle = t.mshr[i].done
+	t.cycle = t.lastDone()
+	t.retire(t.cycle)
+}
+
+// lastDone is the latest completion time among the outstanding miss-queue
+// entries, or the current cycle if none completes later.
+func (t *Thread) lastDone() float64 {
+	last := t.cycle
+	for m := t.busy; m != 0; m &= m - 1 {
+		if d := t.mshr[bits.TrailingZeros64(m)].done; d > last {
+			last = d
 		}
 	}
-	t.retire(t.cycle)
+	return last
 }

@@ -108,6 +108,30 @@ func (ct *Compiled) Append(a mem.Access) {
 	ct.words = append(ct.words, w)
 }
 
+// CopyFrom makes ct an exact copy of src, words and escape records,
+// reusing ct's backing arrays when they are large enough.
+func (ct *Compiled) CopyFrom(src *Compiled) {
+	ct.words = append(ct.words[:0], src.words...)
+	ct.escapes = append(ct.escapes[:0], src.escapes...)
+}
+
+// SetAddrs replaces the line of packed access pos[k] with addrs[k]'s line,
+// for every k, leaving ct as if those accesses had been compiled with the
+// new addresses. It reports false when an access is an escape record or
+// its new line would need one, since that would change the escape table;
+// ct is then partly rewritten and the caller must recompile it.
+func (ct *Compiled) SetAddrs(pos []int32, addrs []mem.Addr) bool {
+	words := ct.words
+	for k, i := range pos {
+		w, line := words[i], uint64(mem.LineOf(addrs[k]))
+		if IsEscape(w) || line > lineMask {
+			return false
+		}
+		words[i] = w&^lineMask | line
+	}
+	return true
+}
+
 // escape records a in the escape table and returns its escape word.
 func (ct *Compiled) escape(a *mem.Access) uint64 {
 	ct.escapes = append(ct.escapes, *a)

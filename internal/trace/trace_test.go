@@ -142,6 +142,51 @@ func appendBuilt(tr mem.Trace) *Compiled {
 	return ct
 }
 
+// TestSetAddrsMatchesCompile: patching addresses into a copied trace gives
+// the trace Compile builds from the patched mem.Trace whenever SetAddrs
+// accepts the patch; it refuses exactly the patches that touch an escape
+// record, before or after.
+func TestSetAddrsMatchesCompile(t *testing.T) {
+	src := rng.New(0x5e7)
+	accepted := 0
+	for round := 0; round < 200; round++ {
+		tr := randTrace(src, 1+src.Intn(200))
+		patched := append(mem.Trace(nil), tr...)
+		var pos []int32
+		var addrs []mem.Addr
+		escapes := false
+		for i := range patched {
+			if !src.Bool(0.1) {
+				continue
+			}
+			addr := mem.Addr(src.Uint64() >> (8 + src.Intn(30)))
+			if src.Intn(10) == 0 {
+				addr = mem.Addr(src.Uint64()) // likely beyond the packed line space
+			}
+			pos, addrs = append(pos, int32(i)), append(addrs, addr)
+			a := &patched[i]
+			_, before := pack(a)
+			a.Addr = addr
+			_, after := pack(a)
+			escapes = escapes || !before || !after
+		}
+		var ct Compiled
+		ct.CopyFrom(Compile(tr))
+		sameCompiled(t, &ct, Compile(tr))
+		ok := ct.SetAddrs(pos, addrs)
+		if ok == escapes {
+			t.Fatalf("round %d: SetAddrs = %v, want %v", round, ok, !escapes)
+		}
+		if ok {
+			accepted++
+			sameCompiled(t, &ct, Compile(patched))
+		}
+	}
+	if accepted == 0 || accepted == 200 {
+		t.Fatalf("%d of 200 patches accepted; the rounds must exercise both outcomes", accepted)
+	}
+}
+
 func TestGeometryRejectsBadSetCounts(t *testing.T) {
 	ct := Compile(mem.Trace{{Addr: 0x40}})
 	for _, sets := range []int{0, -1, 3, 48} {

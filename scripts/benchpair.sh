@@ -7,10 +7,13 @@
 # Environment: BASE (commit to compare against, default HEAD^) and SEED
 # (perfbench -seed, default 1). Every run lasts the benchmark's own
 # run_seconds from BENCHMARK.json. The base is checked out as a detached git
-# worktree under $TMPDIR and removed on exit. For every end-to-end metric the
-# script prints each side's median and quartiles, the number of pairs the
-# working tree won (lower is better; ties count for neither side), and the
-# median change.
+# worktree under $TMPDIR and removed on exit. For every end-to-end metric
+# BENCHMARK.json lists, the script prints each side's median and quartiles,
+# the number of pairs the working tree won (by the metric's "better"
+# direction; ties count for neither side), and the median change. It exits
+# 3 when the working tree's median on any of those metrics is worse than
+# the base's by more than the metric's "bound" (a fraction of the base
+# median).
 set -euo pipefail
 
 workload=${1:?usage: scripts/benchpair.sh <workload> [pairs]}
@@ -69,12 +72,32 @@ quartiles() {
 	END { printf "%.4g %.4g %.4g\n", q(0.25), q(0.5), q(0.75) }'
 }
 
+# bounds: prints "name better bound" for every end-to-end metric in
+# BENCHMARK.json (one key per line, as the file is written).
+bounds() {
+	awk '/"end_to_end"/ { on = 1; next }
+	on && /^ *\]/ { exit }
+	on && /"(name|better|bound)"/ { v = $2; gsub(/[",]/, "", v); f[$1] = v }
+	on && /}/ && f["\"name\":"] != "" { print f["\"name\":"], f["\"better\":"], f["\"bound\":"]; delete f }' "$root/BENCHMARK.json"
+}
+
+failed=0
 printf '%-13s %-28s %-28s %6s %8s\n' metric "base q1/median/q3" "head q1/median/q3" wins change
-for metric in wall_s cpu_s alloc_mb peak_heap_mb setup_s; do
+while read -r metric better bound; do
 	read -r bq1 bmed bq3 < <(values "$tmp/base.jsonl" "$metric" | quartiles)
 	read -r hq1 hmed hq3 < <(values "$tmp/head.jsonl" "$metric" | quartiles)
 	wins=$(paste <(values "$tmp/base.jsonl" "$metric") <(values "$tmp/head.jsonl" "$metric") |
-		awk '$2 < $1 { w++ } END { print w + 0 }')
-	change=$(awk -v b="$bmed" -v h="$hmed" 'BEGIN { printf "%+.1f%%", 100 * (h - b) / b }')
-	printf '%-13s %-28s %-28s %3d/%-2d %8s\n' "$metric" "$bq1/$bmed/$bq3" "$hq1/$hmed/$hq3" "$wins" "$pairs" "$change"
-done
+		awk -v better="$better" '(better == "lower" && $2 < $1) || (better == "higher" && $2 > $1) { w++ } END { print w + 0 }')
+	change=$(awk -v b="$bmed" -v h="$hmed" 'BEGIN { if (b == 0) print "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }')
+	verdict=
+	if awk -v b="$bmed" -v h="$hmed" -v better="$better" -v bound="$bound" \
+		'BEGIN { worse = (better == "lower") ? h - b : b - h; exit !(b != 0 && worse / b > bound) }'; then
+		verdict=" WORSE than the ${bound} bound"
+		failed=1
+	fi
+	printf '%-13s %-28s %-28s %3d/%-2d %8s%s\n' "$metric" "$bq1/$bmed/$bq3" "$hq1/$hmed/$hq3" "$wins" "$pairs" "$change" "$verdict"
+done < <(bounds)
+if [[ $failed == 1 ]]; then
+	echo "benchpair: head is worse than base beyond a BENCHMARK.json bound" >&2
+	exit 3
+fi
